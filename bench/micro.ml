@@ -67,10 +67,10 @@ let test_h1_cards =
 
 module H1_heap = Th_minijvm.H1_heap
 
-(* An old generation with [objs] registered objects and [dirty] dirty
+(* An old generation with [objs] indexed objects and [dirty] dirty
    cards spread evenly over the populated address range, exercising the
-   minor-GC Task-2 scan both ways: the pre-refactor linear sweep of
-   [old_objs] and the card-indexed bucket walk. The bucket walk should
+   minor-GC Task-2 scan both ways: the linear sweep of [old_objs] and the
+   walk of the dirty cards' object-start ranges. The index walk should
    scale with the number of dirty cards, not the old-generation
    population. *)
 let make_old_heap ~objs ~dirty =
@@ -101,10 +101,13 @@ let linear_scan (heap : H1_heap.t) () =
     heap.H1_heap.old_objs;
   !n
 
-let bucket_scan (heap : H1_heap.t) () =
+let index_scan (heap : H1_heap.t) () =
   let n = ref 0 in
-  Card_table.iter_dirty_buckets heap.H1_heap.cards (fun _card bucket ->
-      n := !n + Vec.length bucket);
+  Card_table.iter_dirty_ranges heap.H1_heap.cards (fun _card lo hi ->
+      for i = lo to hi - 1 do
+        ignore (Vec.get heap.H1_heap.old_objs i : Obj_.t);
+        incr n
+      done);
   !n
 
 let test_rset name scan ~objs ~dirty =
@@ -115,11 +118,11 @@ let rset_benchmarks =
   [
     test_rset "rset linear scan 64k objs/16 dirty" linear_scan ~objs:65536
       ~dirty:16;
-    test_rset "rset bucket scan 64k objs/16 dirty" bucket_scan ~objs:65536
+    test_rset "rset index scan 64k objs/16 dirty" index_scan ~objs:65536
       ~dirty:16;
-    test_rset "rset bucket scan 8k objs/16 dirty" bucket_scan ~objs:8192
+    test_rset "rset index scan 8k objs/16 dirty" index_scan ~objs:8192
       ~dirty:16;
-    test_rset "rset bucket scan 64k objs/256 dirty" bucket_scan ~objs:65536
+    test_rset "rset index scan 64k objs/256 dirty" index_scan ~objs:65536
       ~dirty:256;
   ]
 

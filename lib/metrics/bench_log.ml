@@ -1,7 +1,8 @@
 (* Wall-clock perf tracker for the benchmark harness: records per-section
    and total wall/CPU time plus the worker count, and serialises them to
-   BENCH_harness.json so the harness's own performance trajectory is
-   versioned alongside the simulation results.
+   BENCH_harness.json (or the file named by TH_BENCH_JSON). The file is a
+   local, untracked artifact — .gitignore lists it — so it only compares
+   runs on one machine; CI uploads it as a build artifact.
 
    Schema 2: every section is stamped with the jobs count it actually
    ran at, its cell count, the summed per-cell wall time (the

@@ -1,22 +1,30 @@
-open Th_sim
-module Obj_ = Th_objmodel.Heap_object
-
 type t = {
   card_size : int;
   cards : Bytes.t;
   mutable dirty : int;
-  (* Remembered-set index: per-card buckets of old-generation objects
-     keyed by the card of their start address. Maintained on promotion
-     and direct old allocation, rebuilt from scratch after each major GC
-     (compaction reassigns every address). Minor GC then visits only the
-     dirty cards' buckets instead of sweeping the whole old generation. *)
-  buckets : Obj_.t Vec.t option array;
+  (* Object-start index (HotSpot's block-offset table, at card grain):
+     [starts.(c)] is the position in the address-sorted [old_objs] of the
+     first object starting on card [c] or later, valid for
+     [c < indexed_cards]; cards past that own no object yet. Appends
+     extend the valid prefix, a reset just empties it, and the array
+     grows on demand, so a fresh or rebuilt table touches no entry it
+     does not fill. *)
+  mutable starts : int array;
+  mutable indexed_cards : int;
+  mutable indexed : int;
 }
 
 let create ?(card_size = 512) ~capacity_bytes () =
   if card_size <= 0 then invalid_arg "Card_table.create: card_size";
   let n = max 1 ((capacity_bytes + card_size - 1) / card_size) in
-  { card_size; cards = Bytes.make n '\000'; dirty = 0; buckets = Array.make n None }
+  {
+    card_size;
+    cards = Bytes.make n '\000';
+    dirty = 0;
+    starts = [||];
+    indexed_cards = 0;
+    indexed = 0;
+  }
 
 let card_size t = t.card_size
 
@@ -50,54 +58,55 @@ let clear_card t ~card =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Remembered-set index                                                *)
+(* Object-start index                                                  *)
 
-let register t (o : Obj_.t) =
-  let c = o.Obj_.addr / t.card_size in
-  (* During major-GC precompaction an object's new address may exceed the
-     old generation (the OOM is only raised in the epilogue); skip rather
-     than fail so the index never changes which exception surfaces. *)
-  if c >= 0 && c < Array.length t.buckets then begin
-    let bucket =
-      match t.buckets.(c) with
-      | Some v -> v
-      | None ->
-          let v = Vec.create () in
-          t.buckets.(c) <- Some v;
-          v
-    in
-    Vec.push bucket o
-  end
+let reset_index t =
+  t.indexed_cards <- 0;
+  t.indexed <- 0
 
-let clear_index t = Array.fill t.buckets 0 (Array.length t.buckets) None
+let note_object_start t ~addr =
+  (* Cards are not bounded by [num_cards]: during major-GC precompaction a
+     survivor's new address may exceed the old generation (the OOM is
+     only raised in the epilogue), and the index must still cover it so
+     every later position stays exact. *)
+  if addr < 0 then invalid_arg "Card_table.note_object_start: negative address";
+  let c = addr / t.card_size in
+  if c < t.indexed_cards - 1 then
+    invalid_arg "Card_table.note_object_start: address below the last object";
+  if c >= t.indexed_cards then begin
+    if c >= Array.length t.starts then begin
+      let starts = Array.make (max (c + 1) (2 * Array.length t.starts)) 0 in
+      Array.blit t.starts 0 starts 0 t.indexed_cards;
+      t.starts <- starts
+    end;
+    Array.fill t.starts t.indexed_cards (c + 1 - t.indexed_cards) t.indexed;
+    t.indexed_cards <- c + 1
+  end;
+  t.indexed <- t.indexed + 1
 
-let rebuild_index t objs =
-  clear_index t;
-  Vec.iter (register t) objs
+let indexed_objects t = t.indexed
 
-let iter_card_objects t ~card f =
-  if card >= 0 && card < Array.length t.buckets then
-    match t.buckets.(card) with Some v -> Vec.iter f v | None -> ()
+let start_index t ~card =
+  if card < 0 then 0
+  else if card < t.indexed_cards then Array.unsafe_get t.starts card
+  else t.indexed
 
-let card_object_count t ~card =
-  if card >= 0 && card < Array.length t.buckets then
-    match t.buckets.(card) with Some v -> Vec.length v | None -> 0
-  else 0
-
-let iter_dirty_buckets t f =
-  (* Ascending card order, each bucket in insertion (= address) order:
-     exactly the visit order of a linear sweep of the address-sorted old
-     generation, so the replacement is observationally identical. The
-     card-byte walk stops once every dirty card has been seen. *)
+let iter_dirty_ranges t f =
+  (* Ascending card order; stops once every dirty card has been seen or
+     the index runs out of cards that own objects. *)
   let remaining = ref t.dirty in
-  let n = Bytes.length t.cards in
+  let n = min (Bytes.length t.cards) t.indexed_cards in
   let c = ref 0 in
   while !remaining > 0 && !c < n do
-    if Bytes.unsafe_get t.cards !c <> '\000' then begin
+    let card = !c in
+    if Bytes.unsafe_get t.cards card <> '\000' then begin
       decr remaining;
-      match t.buckets.(!c) with
-      | Some v when Vec.length v > 0 -> f !c v
-      | Some _ | None -> ()
+      let lo = Array.unsafe_get t.starts card in
+      let hi =
+        if card + 1 < t.indexed_cards then Array.unsafe_get t.starts (card + 1)
+        else t.indexed
+      in
+      if hi > lo then f card lo hi
     end;
     incr c
   done

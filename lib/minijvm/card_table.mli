@@ -1,16 +1,23 @@
-(** H1 card table with a card-indexed remembered set.
+(** H1 card table with an object-start index.
 
     One dirty bit per fixed-size card covering the old generation's address
     space, as in vanilla Parallel Scavenge (512 B cards). The post-write
     barrier marks the card holding an updated old-generation object; minor
     GC scans dirty cards for old-to-young references.
 
-    In addition to the dirty bits, the table keeps per-card object buckets
-    (the remembered-set index): every old-generation object is registered
-    under the card of its start address, so the minor-GC card scan visits
-    only the objects of dirty cards instead of sweeping the whole old
-    generation. Dirtiness and membership are orthogonal: {!clear_all}
-    clears dirty bits only, {!rebuild_index} resets membership. *)
+    The remembered-set index rests on one invariant of the heap: the
+    old generation's object vector ([H1_heap.old_objs]) is strictly
+    address-sorted — bump allocation appends at the top, and sliding
+    compaction keeps the order. So the objects starting on one card are
+    a contiguous run of that vector, and the table keeps, HotSpot
+    object-start style, one [int] per card: the vector position of the
+    card's first object ({!start_index}). Card [c]'s objects are
+    positions [start_index c] to [start_index (c + 1) - 1], and the
+    minor-GC card scan visits only the dirty cards' runs instead of
+    sweeping the whole old generation. The index is fed in address order
+    ({!note_object_start}) and grows on demand. Dirtiness and membership
+    are orthogonal: {!clear_all} clears dirty bits only, {!reset_index}
+    empties the index. *)
 
 type t
 
@@ -33,30 +40,29 @@ val clear_all : t -> unit
 
 val clear_card : t -> card:int -> unit
 
-(** {1 Remembered-set index} *)
+(** {1 Object-start index} *)
 
-val register : t -> Th_objmodel.Heap_object.t -> unit
-(** Add an object to the bucket of the card holding its start address.
-    Out-of-range addresses (transiently possible during major-GC
-    precompaction) are silently skipped. *)
+val note_object_start : t -> addr:int -> unit
+(** Append the next old-generation object, which starts at [addr], to the
+    index; its position is {!indexed_objects} before the call. Objects
+    must be noted in address order: an address on a card before the last
+    noted object's raises [Invalid_argument]. Addresses past the table's
+    capacity (transiently possible during major-GC precompaction) are
+    indexed too. *)
 
-val clear_index : t -> unit
-(** Drop every bucket, releasing all object references held by the index. *)
+val reset_index : t -> unit
+(** Empty the index. O(1): no entry is cleared. *)
 
-val rebuild_index : t -> Th_objmodel.Heap_object.t Th_sim.Vec.t -> unit
-(** [rebuild_index t objs] is {!clear_index} followed by {!register} for
-    each element of [objs] in order. Called after major-GC compaction,
-    when every old-generation address has been reassigned. *)
+val indexed_objects : t -> int
+(** Objects noted since the last {!reset_index}. *)
 
-val iter_card_objects :
-  t -> card:int -> (Th_objmodel.Heap_object.t -> unit) -> unit
-(** Iterate the bucket of [card] in registration (= address) order.
-    Out-of-range cards iterate nothing. *)
+val start_index : t -> card:int -> int
+(** Position of the first indexed object starting on [card] or later:
+    [0] for negative cards, {!indexed_objects} past the last indexed
+    card. The objects of [card] are the positions from [start_index card]
+    up to, excluding, [start_index (card + 1)]. *)
 
-val card_object_count : t -> card:int -> int
-
-val iter_dirty_buckets :
-  t -> (int -> Th_objmodel.Heap_object.t Th_sim.Vec.t -> unit) -> unit
-(** [iter_dirty_buckets t f] calls [f card bucket] for every dirty card
-    with a non-empty bucket, in ascending card order. The callback must
-    not change card dirtiness. *)
+val iter_dirty_ranges : t -> (int -> int -> int -> unit) -> unit
+(** [iter_dirty_ranges t f] calls [f card lo hi] for every dirty card
+    owning objects, in ascending card order, where [lo, hi) is the card's
+    position range. The callback must not change card dirtiness. *)

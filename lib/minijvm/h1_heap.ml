@@ -60,6 +60,13 @@ let old_alloc_addr t bytes =
     Some addr
   end
 
+(* Append an old-generation object (location, address and accounting
+   already set) to [old_objs] and the object-start index, which both
+   stay address-sorted because every caller bumps [old_top]. *)
+let push_old t (o : Obj_.t) =
+  Vec.push t.old_objs o;
+  Card_table.note_object_start t.cards ~addr:o.Obj_.addr
+
 let alloc t ~kind ~size =
   let id = fresh_id t in
   let o = Obj_.create ~kind ~id ~size () in
@@ -71,8 +78,7 @@ let alloc t ~kind ~size =
     | Some addr ->
         o.Obj_.loc <- Obj_.Old;
         o.Obj_.addr <- addr;
-        Vec.push t.old_objs o;
-        Card_table.register t.cards o;
+        push_old t o;
         Allocated o
   end
   else if t.eden_used + bytes > t.eden_capacity then Eden_full
@@ -91,17 +97,18 @@ let promote t o ~addr =
       invalid_arg "H1_heap.promote: object is not young");
   o.Obj_.loc <- Obj_.Old;
   o.Obj_.addr <- addr;
-  Vec.push t.old_objs o;
-  Card_table.register t.cards o
+  push_old t o
 
-(* Register an externally initialised old-generation object (the caller
-   has already set [loc], [addr] and done the space accounting via
-   {!old_alloc_addr}); keeps the remembered-set index in sync. *)
-let push_old t o =
-  Vec.push t.old_objs o;
-  Card_table.register t.cards o
-
-let rebuild_card_index t = Card_table.rebuild_index t.cards t.old_objs
+let filter_old t keep =
+  Card_table.reset_index t.cards;
+  Vec.filter_in_place
+    (fun (o : Obj_.t) ->
+      if keep o then begin
+        Card_table.note_object_start t.cards ~addr:o.Obj_.addr;
+        true
+      end
+      else false)
+    t.old_objs
 
 (* After a full collection the space vectors hold only live entries, but
    the slack of their backing arrays still references every object
@@ -109,7 +116,6 @@ let rebuild_card_index t = Card_table.rebuild_index t.cards t.old_objs
    reachable from the OCaml heap forever. Major GCs are rare, so the
    reallocation cost is negligible. *)
 let compact_after_major t =
-  Vec.filter_in_place (fun (o : Obj_.t) -> o.Obj_.loc <> Obj_.Freed) t.old_objs;
   Vec.shrink_to_fit t.old_objs;
   Vec.shrink_to_fit t.eden;
   Vec.shrink_to_fit t.survivor

@@ -18,6 +18,8 @@ type t = {
   eden : Th_objmodel.Heap_object.t Th_sim.Vec.t;
   survivor : Th_objmodel.Heap_object.t Th_sim.Vec.t;
   old_objs : Th_objmodel.Heap_object.t Th_sim.Vec.t;
+      (** strictly address-sorted: the card table's object-start index
+          refers to positions in it *)
   cards : Card_table.t;
   mutable next_id : int;
   tenure_threshold : int;  (** minor GCs survived before promotion *)
@@ -52,21 +54,26 @@ val old_alloc_addr : t -> int -> int option
 
 val promote : t -> Th_objmodel.Heap_object.t -> addr:int -> unit
 (** Move a young object into the old generation at [addr]. The caller must
-    have obtained [addr] from {!old_alloc_addr}. Registers the object in
-    the card table's remembered-set index. *)
+    have obtained [addr] from {!old_alloc_addr} (or, during major-GC
+    compaction, assigned it above every old-generation object). Appends
+    the object to [old_objs] and the card table's object-start index. *)
 
 val push_old : t -> Th_objmodel.Heap_object.t -> unit
 (** Append an externally initialised old-generation object (location,
-    address and accounting already done by the caller) to [old_objs] and
-    the remembered-set index. Used by the G1 humongous-allocation path. *)
+    address from {!old_alloc_addr}, accounting done by the caller) to
+    [old_objs] and the object-start index. Used by the G1
+    humongous-allocation path. *)
 
-val rebuild_card_index : t -> unit
-(** Rebuild the card table's remembered-set index from [old_objs]. Must
-    run after major-GC compaction reassigns old-generation addresses. *)
+val filter_old : t -> (Th_objmodel.Heap_object.t -> bool) -> unit
+(** [filter_old t keep] filters [old_objs] in place, in order, and
+    rebuilds the card table's object-start index from the kept objects.
+    [keep] runs once per object and may reassign the object's address
+    (sliding compaction) before accepting it; the kept addresses must
+    stay ascending. *)
 
 val compact_after_major : t -> unit
-(** Drop [Freed] entries from the space vectors and shrink their backing
-    arrays, releasing the references that keep dead objects reachable. *)
+(** Shrink the space vectors' backing arrays to their lengths, releasing
+    the slack that still references dead objects. *)
 
 val to_survivor : t -> Th_objmodel.Heap_object.t -> unit
 (** Copy a live eden/survivor object into the target survivor space. *)

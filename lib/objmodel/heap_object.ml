@@ -96,6 +96,11 @@ let refs_list t =
 
 let is_young t = match t.loc with Eden | Survivor -> true | Old | In_h2 | Freed -> false
 
+let rec young_ref_from t i =
+  i < t.nrefs && (is_young t.refs.(i) || young_ref_from t (i + 1))
+
+let has_young_ref t = young_ref_from t 0
+
 let is_in_h1 t = match t.loc with Eden | Survivor | Old -> true | In_h2 | Freed -> false
 
 let is_freed t = t.loc = Freed

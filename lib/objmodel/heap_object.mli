@@ -83,6 +83,10 @@ val refs_list : t -> t list
 
 val is_young : t -> bool
 
+val has_young_ref : t -> bool
+(** Whether any reference of the object points to an [Eden] or
+    [Survivor] object. Allocates nothing. *)
+
 val is_in_h1 : t -> bool
 
 val is_freed : t -> bool

@@ -58,101 +58,131 @@ let note_death (rt : Rt.t) (o : Obj_.t) =
          })
 
 (* ------------------------------------------------------------------ *)
-(* Minor GC                                                            *)
+(* Allocation-free tracing                                             *)
 
-let has_young_ref o =
-  let found = ref false in
-  Obj_.iter_refs (fun c -> if Obj_.is_young c then found := true) o;
-  !found
+(* The collectors visit every reference with direct loops over
+   [refs]/[nrefs] instead of [Obj_.iter_refs] closures, and charge
+   simulated time with per-collection constants: each is computed once,
+   with the exact expression its per-object charge used to evaluate, and
+   passed to [Clock.advance] as the same boxed float every time. The
+   simulated float additions are unchanged, one by one and in order.
+   The host allocates nothing per reference visited; per object, only
+   the byte-proportional copy charges still box their value. *)
+
+(* [per_gen rt f] evaluates [f] once for each generation multiplier of
+   the cost profile and returns the selector by object location: young
+   objects pay [f young_mult], old ones [f old_mult], anything else
+   [f 1.0]. *)
+let per_gen (rt : Rt.t) f =
+  let p = rt.Rt.profile in
+  let young = f p.Cost_profile.young_mult in
+  let old = f p.Cost_profile.old_mult in
+  let other = f 1.0 in
+  fun (o : Obj_.t) ->
+    match o.Obj_.loc with
+    | Obj_.Eden | Obj_.Survivor -> young
+    | Obj_.Old -> old
+    | Obj_.In_h2 | Obj_.Freed -> other
+
+(* Whether an object at a position in [lo, hi) of [objs] references a
+   young object. *)
+let rec young_ref_in objs lo hi =
+  lo < hi
+  && (Obj_.has_young_ref (Vec.get objs lo) || young_ref_in objs (lo + 1) hi)
+
+(* ------------------------------------------------------------------ *)
+(* Minor GC                                                            *)
 
 let minor_gc (rt : Rt.t) =
   let heap = rt.Rt.heap in
   let costs = rt.Rt.costs in
+  let clock = rt.Rt.clock in
+  let cards = heap.H1_heap.cards in
+  let old_objs = heap.H1_heap.old_objs in
   Rt.safepoint rt Rt.Before_minor;
-  let t0 = Clock.breakdown rt.Rt.clock in
+  let t0 = Clock.breakdown clock in
   trace_span_begin rt ~name:"minor_gc";
   rt.Rt.in_gc <- true;
   rt.Rt.mark_epoch <- rt.Rt.mark_epoch + 1;
   let epoch = rt.Rt.mark_epoch in
   Rt.charge rt Clock.Minor_gc costs.Costs.gc_pause_overhead_ns;
-  let worklist = Stack.create () in
+  (* Minor-GC work divides over the parallel GC threads. *)
+  let par ns = Costs.parallel costs ~threads:costs.Costs.gc_threads ns in
+  let trace_ref = par costs.Costs.trace_ref_ns in
+  let card_object =
+    par (costs.Costs.card_obj_scan_ns *. rt.Rt.profile.Cost_profile.old_mult)
+  in
+  let mark_object = per_gen rt (fun m -> par (costs.Costs.mark_obj_ns *. m)) in
+  let worklist = Vec.create () in
   let live_young = Vec.create () in
   let push_young (o : Obj_.t) =
     if Obj_.is_young o && o.Obj_.mark <> epoch then begin
       o.Obj_.mark <- epoch;
       Vec.push live_young o;
-      Stack.push o worklist
+      Vec.push worklist o
     end
+  in
+  let scan_refs (o : Obj_.t) =
+    for i = 0 to o.Obj_.nrefs - 1 do
+      Clock.advance clock Clock.Minor_gc trace_ref;
+      push_young o.Obj_.refs.(i)
+    done
   in
   (* Task 1: scan roots. Stack and static slots reference objects
      directly; the fields of non-young root objects are scanned as part of
      root processing. *)
   Roots.iter
     (fun o ->
-      Rt.charge_minor rt costs.Costs.trace_ref_ns;
+      Clock.advance clock Clock.Minor_gc trace_ref;
       push_young o;
-      if not (Obj_.is_young o) then
-        Obj_.iter_refs
-          (fun c ->
-            Rt.charge_minor rt costs.Costs.trace_ref_ns;
-            push_young c)
-          o)
+      if not (Obj_.is_young o) then scan_refs o)
     rt.Rt.roots;
   (* Task 2: scan H1 dirty cards for old-to-young references. The
      simulated cost (checking every card entry, then examining each
      object of a dirty card) is identical in both modes; the modes differ
-     only in how much *host* work finds those objects. Card buckets visit
-     dirty cards' remembered-set buckets directly — O(dirty objects) —
-     where the linear oracle sweeps the whole old generation. Both visit
-     the same objects in the same (address) order. *)
-  Rt.charge_minor rt
-    (float_of_int (Card_table.num_cards heap.H1_heap.cards)
-    *. costs.Costs.card_scan_ns);
-  let scanned_cards : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+     only in how much *host* work finds those objects. The card index
+     visits each dirty card's run of the address-sorted old generation
+     directly — O(dirty objects) — where the linear oracle sweeps the
+     whole old generation. Both visit the same objects in the same
+     (address) order, and both record the scanned cards in ascending
+     order, each once. *)
+  Clock.advance clock Clock.Minor_gc
+    (par
+       (float_of_int (Card_table.num_cards cards) *. costs.Costs.card_scan_ns));
+  let scanned_cards = Vec.create () in
   let scan_card_object (o : Obj_.t) =
-    Rt.charge_minor rt
-      (costs.Costs.card_obj_scan_ns *. rt.Rt.profile.Cost_profile.old_mult);
-    Obj_.iter_refs
-      (fun c ->
-        Rt.charge_minor rt costs.Costs.trace_ref_ns;
-        push_young c)
-      o
+    Clock.advance clock Clock.Minor_gc card_object;
+    scan_refs o
   in
   (match rt.Rt.rset_mode with
-  | Rt.Card_buckets ->
-      Card_table.iter_dirty_buckets heap.H1_heap.cards (fun card bucket ->
-          Hashtbl.replace scanned_cards card ();
-          Vec.iter scan_card_object bucket)
+  | Rt.Card_index ->
+      Card_table.iter_dirty_ranges cards (fun card lo hi ->
+          Vec.push scanned_cards card;
+          for i = lo to hi - 1 do
+            scan_card_object (Vec.get old_objs i)
+          done)
   | Rt.Linear_scan ->
       Vec.iter
         (fun (o : Obj_.t) ->
-          let card = Card_table.card_of_addr heap.H1_heap.cards o.Obj_.addr in
-          if Card_table.is_dirty heap.H1_heap.cards ~card then begin
-            Hashtbl.replace scanned_cards card ();
+          let card = Card_table.card_of_addr cards o.Obj_.addr in
+          if Card_table.is_dirty cards ~card then begin
+            let n = Vec.length scanned_cards in
+            if n = 0 || Vec.get scanned_cards (n - 1) <> card then
+              Vec.push scanned_cards card;
             scan_card_object o
           end)
-        heap.H1_heap.old_objs);
+        old_objs);
   (* Task 3 (TeraHeap): scan the H2 card table; backward references keep
      H1 young objects alive and must be adjusted after the copy. *)
   (match rt.Rt.h2 with
   | None -> ()
-  | Some h2 ->
-      H2.scan_cards_minor h2 ~on_object:(fun o ->
-          Obj_.iter_refs
-            (fun c ->
-              Rt.charge_minor rt costs.Costs.trace_ref_ns;
-              push_young c)
-            o));
+  | Some h2 -> H2.scan_cards_minor h2 ~on_object:scan_refs);
   (* Task 4: transitive trace within the young generation. The reference
      range check fences the trace from crossing into H2. *)
-  while not (Stack.is_empty worklist) do
-    let o = Stack.pop worklist in
-    Rt.charge_minor rt (costs.Costs.mark_obj_ns *. Rt.gen_mult rt o);
-    Obj_.iter_refs
-      (fun c ->
-        Rt.charge_minor rt costs.Costs.trace_ref_ns;
-        push_young c)
-      o
+  while not (Vec.is_empty worklist) do
+    let o = Vec.pop_last worklist in
+    Clock.advance clock Clock.Minor_gc (mark_object o);
+    scan_refs o
   done;
   (* Task 5: copy live young objects; promote mature or overflowing ones. *)
   let needs_major = ref false in
@@ -161,9 +191,10 @@ let minor_gc (rt : Rt.t) =
     (fun (o : Obj_.t) ->
       o.Obj_.age <- o.Obj_.age + 1;
       let bytes = Obj_.total_size o in
-      Rt.charge_minor rt
-        (float_of_int bytes *. costs.Costs.copy_byte_ns
-        *. rt.Rt.profile.Cost_profile.young_mult);
+      Clock.advance clock Clock.Minor_gc
+        (par
+           (float_of_int bytes *. costs.Costs.copy_byte_ns
+           *. rt.Rt.profile.Cost_profile.young_mult));
       let must_promote =
         o.Obj_.age >= heap.H1_heap.tenure_threshold
         || heap.H1_heap.survivor_used + bytes > heap.H1_heap.survivor_capacity
@@ -202,50 +233,64 @@ let minor_gc (rt : Rt.t) =
   (* Recompute the H1 cards that were scanned: clean unless some old
      object in the card still references a young object. Promoted objects
      may now hold young references, so their cards become dirty. *)
-  let still_dirty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   (match rt.Rt.rset_mode with
-  | Rt.Card_buckets ->
-      (* Objects promoted in Task 5 are already registered, so a scanned
-         card's bucket holds exactly the old objects the linear sweep
-         would attribute to it. Iteration order-insensitive: each card's
-         still-dirty status is computed independently.
-         th-lint: allow hashtbl-order *)
-      Hashtbl.iter
-        (fun card () ->
-          let found = ref false in
-          Card_table.iter_card_objects heap.H1_heap.cards ~card (fun o ->
-              if (not !found) && has_young_ref o then found := true);
-          if !found then Hashtbl.replace still_dirty card ())
+  | Rt.Card_index ->
+      (* Objects promoted in Task 5 are already indexed, so a scanned
+         card's run holds exactly the old objects the linear sweep would
+         attribute to it. *)
+      Vec.iter
+        (fun card ->
+          if
+            not
+              (young_ref_in old_objs
+                 (Card_table.start_index cards ~card)
+                 (Card_table.start_index cards ~card:(card + 1)))
+          then Card_table.clear_card cards ~card)
         scanned_cards
   | Rt.Linear_scan ->
+      (* One merge pass: both the old generation and the scanned cards
+         are in ascending card order. [found] says whether the scanned
+         card at [next] holds an object with a young reference. *)
+      let next = ref 0 and found = ref false in
+      let finish_card () =
+        if not !found then
+          Card_table.clear_card cards ~card:(Vec.get scanned_cards !next);
+        incr next;
+        found := false
+      in
       Vec.iter
         (fun (o : Obj_.t) ->
-          let card = Card_table.card_of_addr heap.H1_heap.cards o.Obj_.addr in
-          if Hashtbl.mem scanned_cards card && has_young_ref o then
-            Hashtbl.replace still_dirty card ())
-        heap.H1_heap.old_objs);
-  (* Order-insensitive: cards are cleared independently of each other.
-     th-lint: allow hashtbl-order *)
-  Hashtbl.iter
-    (fun card () ->
-      if not (Hashtbl.mem still_dirty card) then
-        Card_table.clear_card heap.H1_heap.cards ~card)
-    scanned_cards;
+          let card = Card_table.card_of_addr cards o.Obj_.addr in
+          while
+            !next < Vec.length scanned_cards
+            && Vec.get scanned_cards !next < card
+          do
+            finish_card ()
+          done;
+          if
+            !next < Vec.length scanned_cards
+            && Vec.get scanned_cards !next = card
+            && (not !found) && Obj_.has_young_ref o
+          then found := true)
+        old_objs;
+      while !next < Vec.length scanned_cards do
+        finish_card ()
+      done);
   Vec.iter
     (fun (o : Obj_.t) ->
-      if has_young_ref o then
-        Card_table.mark_dirty heap.H1_heap.cards ~addr:o.Obj_.addr)
+      if Obj_.has_young_ref o then
+        Card_table.mark_dirty cards ~addr:o.Obj_.addr)
     promoted;
   (* Adjust H2 card states now that targets have moved (§3.4). *)
   (match rt.Rt.h2 with
   | None -> ()
   | Some h2 -> H2.recompute_card_states h2 ~major:false);
   rt.Rt.in_gc <- false;
-  let d = Clock.sub (Clock.breakdown rt.Rt.clock) t0 in
+  let d = Clock.sub (Clock.breakdown clock) t0 in
   Gc_stats.record rt.Rt.stats
     (Gc_stats.Minor
-       { at_ns = Clock.now_ns rt.Rt.clock; duration_ns = d.Clock.minor_gc_ns });
-  Gc_stats.record_occupancy rt.Rt.stats ~at_ns:(Clock.now_ns rt.Rt.clock)
+       { at_ns = Clock.now_ns clock; duration_ns = d.Clock.minor_gc_ns });
+  Gc_stats.record_occupancy rt.Rt.stats ~at_ns:(Clock.now_ns clock)
     (H1_heap.old_occupancy heap);
   trace_span_end rt ~name:"minor_gc"
     [ ("dur_ns", Th_trace.Event.Float d.Clock.minor_gc_ns) ];
@@ -257,14 +302,16 @@ let minor_gc (rt : Rt.t) =
 
 (* Work that is single-threaded under PS (OpenJDK8 old-generation
    collection) but parallel under the JDK11/G1 variants. *)
-let charge_major rt ns =
+let major_charge rt ns =
   let threads = Rt.major_threads rt in
   (* G1 performs most of its marking concurrently with the mutator; only
      about half of the work lands in a pause (remark/cleanup). *)
   let ns =
     match rt.Rt.collector with Rt.G1 -> ns *. 0.5 | Rt.Ps | Rt.Ps_jdk11 -> ns
   in
-  Rt.charge rt Clock.Major_gc (Costs.parallel rt.Rt.costs ~threads ns)
+  Costs.parallel rt.Rt.costs ~threads ns
+
+let charge_major rt ns = Rt.charge rt Clock.Major_gc (major_charge rt ns)
 
 let g1_skip_copy rt (o : Obj_.t) =
   (* G1 never evacuates humongous objects; mixed collections also copy
@@ -280,6 +327,8 @@ let g1_copy_factor rt =
 let major_gc (rt : Rt.t) =
   let heap = rt.Rt.heap in
   let costs = rt.Rt.costs in
+  let clock = rt.Rt.clock in
+  let advance ns = Clock.advance clock Clock.Major_gc ns in
   Rt.safepoint rt Rt.Before_major;
   rt.Rt.in_gc <- true;
   rt.Rt.mark_epoch <- rt.Rt.mark_epoch + 1;
@@ -304,10 +353,19 @@ let major_gc (rt : Rt.t) =
     (d.Clock.major_gc_ns, Clock.breakdown rt.Rt.clock)
   in
   trace_span_begin rt ~name:"marking";
+  (* Charge constants (see "Allocation-free tracing" above). *)
+  let trace_ref = major_charge rt costs.Costs.trace_ref_ns in
+  let trace_ref_of =
+    per_gen rt (fun m -> major_charge rt (costs.Costs.trace_ref_ns *. m))
+  in
+  let mark_object =
+    per_gen rt (fun m -> major_charge rt (costs.Costs.mark_obj_ns *. m))
+  in
+  let half_mark = major_charge rt (costs.Costs.mark_obj_ns *. 0.5) in
 
   (* --- Phase 1: marking ------------------------------------------- *)
   (match rt.Rt.h2 with None -> () | Some h2 -> H2.clear_live_bits h2);
-  let worklist = Stack.create () in
+  let worklist = Vec.create () in
   let live = Vec.create () in
   let backward_refs = ref 0 in
   let push (o : Obj_.t) =
@@ -324,42 +382,44 @@ let major_gc (rt : Rt.t) =
         if o.Obj_.mark <> epoch then begin
           o.Obj_.mark <- epoch;
           Vec.push live o;
-          Stack.push o worklist
+          Vec.push worklist o
         end
   in
   (* Mark H1 objects referenced by H2 as live (backward references). *)
   (match rt.Rt.h2 with
   | None -> ()
   | Some h2 ->
-      H2.scan_cards_major h2 ~on_object:(fun o ->
-          Obj_.iter_refs
-            (fun c ->
-              if Obj_.is_in_h1 c then begin
-                incr backward_refs;
-                charge_major rt costs.Costs.trace_ref_ns;
-                push c
-              end)
-            o));
+      H2.scan_cards_major h2 ~on_object:(fun (o : Obj_.t) ->
+          for i = 0 to o.Obj_.nrefs - 1 do
+            let c = o.Obj_.refs.(i) in
+            if Obj_.is_in_h1 c then begin
+              incr backward_refs;
+              advance trace_ref;
+              push c
+            end
+          done));
   Roots.iter
     (fun o ->
-      charge_major rt costs.Costs.trace_ref_ns;
+      advance trace_ref;
       push o)
     rt.Rt.roots;
-  while not (Stack.is_empty worklist) do
-    let o = Stack.pop worklist in
-    charge_major rt (costs.Costs.mark_obj_ns *. Rt.gen_mult rt o);
-    Obj_.iter_refs
-      (fun c ->
-        charge_major rt (costs.Costs.trace_ref_ns *. Rt.gen_mult rt o);
-        push c)
-      o
+  while not (Vec.is_empty worklist) do
+    let o = Vec.pop_last worklist in
+    advance (mark_object o);
+    let per_ref = trace_ref_of o in
+    for i = 0 to o.Obj_.nrefs - 1 do
+      advance per_ref;
+      push o.Obj_.refs.(i)
+    done
   done;
   let live_bytes =
     Vec.fold_left (fun acc o -> acc + Obj_.total_size o) 0 live
   in
   (* TeraHeap marking extras: identify labelled roots, compute transitive
      closures, and free dead regions (§4). *)
-  let move_list = Vec.create () in
+  (* Move candidates with their policy group keys, as parallel vectors. *)
+  let move_objs = Vec.create () in
+  let move_groups = Vec.create () in
   let regions_freed_now = ref 0 in
   (match rt.Rt.h2 with
   | None -> ()
@@ -400,12 +460,15 @@ let major_gc (rt : Rt.t) =
          each candidate into precompaction; the object's site follows
          its root so lifetime profiles attribute closure members to the
          tag site. *)
+      let queue = Vec.create () in
       let closure_of (root : Obj_.t) label group =
         let site = root.Obj_.site in
-        let queue = Queue.create () in
-        Queue.push root queue;
-        while not (Queue.is_empty queue) do
-          let o = Queue.pop queue in
+        Vec.clear queue;
+        Vec.push queue root;
+        let head = ref 0 in
+        while !head < Vec.length queue do
+          let o = Vec.get queue !head in
+          incr head;
           if
             o.Obj_.closure_mark <> cepoch
             && Obj_.is_in_h1 o
@@ -416,12 +479,12 @@ let major_gc (rt : Rt.t) =
             o.Obj_.label <- label;
             o.Obj_.site <- site;
             moved := !moved + Obj_.total_size o;
-            Vec.push move_list (o, group);
-            Obj_.iter_refs
-              (fun c ->
-                charge_major rt costs.Costs.trace_ref_ns;
-                Queue.push c queue)
-              o
+            Vec.push move_objs o;
+            Vec.push move_groups group;
+            for i = 0 to o.Obj_.nrefs - 1 do
+              advance trace_ref;
+              Vec.push queue o.Obj_.refs.(i)
+            done
           end
         done
       in
@@ -515,12 +578,12 @@ let major_gc (rt : Rt.t) =
      location and mark are untouched, so the normal compaction paths
      below keep them — and, since a tagged root self-cleans only once
      moved, the whole group is retried at the next major GC. *)
-  let prev_locs = Vec.create () in
   let moved = Vec.create () in
+  let moved_from = Vec.create () in
   let deferred_objs = Vec.create () in
   let h2_full = ref false in
-  Vec.iter
-    (fun (((o : Obj_.t), group) : Obj_.t * int) ->
+  Vec.iteri
+    (fun i (o : Obj_.t) ->
       match rt.Rt.h2 with
       | None ->
           Rt.invalid_heap_state ~object_id:o.Obj_.id
@@ -528,17 +591,19 @@ let major_gc (rt : Rt.t) =
       | Some h2 ->
           if !h2_full then Vec.push deferred_objs o
           else begin
-            charge_major rt (costs.Costs.mark_obj_ns *. 0.5);
-            let loc = o.Obj_.loc and bytes = Obj_.total_size o in
-            match H2.alloc h2 ~group o ~label:o.Obj_.label with
+            advance half_mark;
+            let loc = o.Obj_.loc in
+            match
+              H2.alloc h2 ~group:(Vec.get move_groups i) o ~label:o.Obj_.label
+            with
             | () ->
-                Vec.push prev_locs (o, loc, bytes);
+                Vec.push moved_from loc;
                 Vec.push moved o
             | exception H2.Out_of_h2_space ->
                 h2_full := true;
                 Vec.push deferred_objs o
           end)
-    move_list;
+    move_objs;
   (match (rt.Rt.h2, !h2_full) with
   | Some h2, true ->
       H2.note_move_degraded h2 ~objects:(Vec.length deferred_objs);
@@ -556,7 +621,7 @@ let major_gc (rt : Rt.t) =
   | (Some _ | None), _ -> ());
   let new_top = ref 0 in
   let assign (o : Obj_.t) =
-    charge_major rt (costs.Costs.mark_obj_ns *. 0.5);
+    advance half_mark;
     o.Obj_.new_addr <- !new_top;
     (* Live humongous objects keep pinning their region slack: G1 never
        moves them. *)
@@ -584,11 +649,12 @@ let major_gc (rt : Rt.t) =
   (* --- Phase 3: pointer adjustment --------------------------------- *)
   Vec.iter
     (fun (o : Obj_.t) ->
-      if Obj_.is_in_h1 o then
-        Obj_.iter_refs
-          (fun _ ->
-            charge_major rt (costs.Costs.trace_ref_ns *. Rt.gen_mult rt o))
-          o)
+      if Obj_.is_in_h1 o then begin
+        let per_ref = trace_ref_of o in
+        for _ = 1 to o.Obj_.nrefs do
+          advance per_ref
+        done
+      end)
     live;
   (match rt.Rt.h2 with
   | None -> ()
@@ -600,18 +666,17 @@ let major_gc (rt : Rt.t) =
          newly-created backward references (§4, pointer adjustment). *)
       Vec.iter
         (fun (o : Obj_.t) ->
-          Obj_.iter_refs
-            (fun c ->
-              charge_major rt costs.Costs.trace_ref_ns;
-              match c.Obj_.loc with
-              | Obj_.In_h2 ->
-                  if c.Obj_.h2_region <> o.Obj_.h2_region then
-                    H2.add_dependency h2 ~src_region:o.Obj_.h2_region
-                      ~dst_region:c.Obj_.h2_region
-              | Obj_.Eden | Obj_.Survivor | Obj_.Old ->
-                  H2.note_backward_ref h2 o
-              | Obj_.Freed -> ())
-            o)
+          for i = 0 to o.Obj_.nrefs - 1 do
+            let c = o.Obj_.refs.(i) in
+            advance trace_ref;
+            match c.Obj_.loc with
+            | Obj_.In_h2 ->
+                if c.Obj_.h2_region <> o.Obj_.h2_region then
+                  H2.add_dependency h2 ~src_region:o.Obj_.h2_region
+                    ~dst_region:c.Obj_.h2_region
+            | Obj_.Eden | Obj_.Survivor | Obj_.Old -> H2.note_backward_ref h2 o
+            | Obj_.Freed -> ()
+          done)
         moved);
   let adjust_ns, t3 = phase_delta t2 in
   trace_span_end rt ~name:"adjust"
@@ -620,9 +685,10 @@ let major_gc (rt : Rt.t) =
 
   (* --- Phase 4: compaction ------------------------------------------ *)
   (* Account the H1 space vacated by objects that moved to H2. *)
-  Vec.iter
-    (fun ((o : Obj_.t), prev_loc, bytes) ->
-      match prev_loc with
+  Vec.iteri
+    (fun i (o : Obj_.t) ->
+      let bytes = Obj_.total_size o in
+      match Vec.get moved_from i with
       | Obj_.Eden -> heap.H1_heap.eden_used <- heap.H1_heap.eden_used - bytes
       | Obj_.Survivor ->
           heap.H1_heap.survivor_used <- heap.H1_heap.survivor_used - bytes
@@ -630,32 +696,29 @@ let major_gc (rt : Rt.t) =
       | Obj_.In_h2 | Obj_.Freed ->
           Rt.invalid_heap_state ~object_id:o.Obj_.id
             ~phase:"compaction: moved object recorded with a non-H1 origin")
-    prev_locs;
-  (* Slide live old objects and copy young survivors into the old gen. *)
+    moved;
+  (* Slide live old objects and copy young survivors into the old gen.
+     Filtering [old_objs] in place keeps it address-sorted and re-indexes
+     it as it goes. *)
   let copy_factor = g1_copy_factor rt in
-  let compact_old (o : Obj_.t) =
-    if not (g1_skip_copy rt o) then
-      charge_major rt
-        (float_of_int (Obj_.total_size o)
-        *. costs.Costs.copy_byte_ns
-        *. rt.Rt.profile.Cost_profile.old_mult
-        *. copy_factor);
-    o.Obj_.addr <- o.Obj_.new_addr
-  in
-  let new_old = Vec.create () in
-  Vec.iter
-    (fun (o : Obj_.t) ->
+  H1_heap.filter_old heap (fun (o : Obj_.t) ->
       if o.Obj_.mark = epoch && o.Obj_.loc = Obj_.Old then begin
-        compact_old o;
-        Vec.push new_old o
+        if not (g1_skip_copy rt o) then
+          charge_major rt
+            (float_of_int (Obj_.total_size o)
+            *. costs.Costs.copy_byte_ns
+            *. rt.Rt.profile.Cost_profile.old_mult
+            *. copy_factor);
+        o.Obj_.addr <- o.Obj_.new_addr;
+        true
       end
-      else if o.Obj_.loc = Obj_.Old then begin
-        note_death rt o;
-        H1_heap.free_object heap o
-      end)
-    heap.H1_heap.old_objs;
-  Vec.clear heap.H1_heap.old_objs;
-  Vec.iter (Vec.push heap.H1_heap.old_objs) new_old;
+      else begin
+        if o.Obj_.loc = Obj_.Old then begin
+          note_death rt o;
+          H1_heap.free_object heap o
+        end;
+        false
+      end);
   let tenure (o : Obj_.t) =
     let bytes = Obj_.total_size o in
     charge_major rt
@@ -686,8 +749,7 @@ let major_gc (rt : Rt.t) =
   heap.H1_heap.old_used <- !new_top;
   (* Write the moved objects out to H2 in promotion-buffer batches. *)
   let bytes_moved =
-    Vec.fold_left (fun acc ((_, _, b) : Obj_.t * Obj_.location * int) -> acc + b)
-      0 prev_locs
+    Vec.fold_left (fun acc o -> acc + Obj_.total_size o) 0 moved
   in
   (match rt.Rt.h2 with
   | None -> ()
@@ -697,11 +759,9 @@ let major_gc (rt : Rt.t) =
   (* The full collection leaves no old-to-young references. *)
   Card_table.clear_all heap.H1_heap.cards;
   (* Release the dead objects still referenced by the space vectors'
-     backing arrays, then rebuild the remembered-set index: compaction
-     reassigned every old-generation address. [old_objs] is rebuilt in
-     ascending-address order above, so registration order matches it. *)
+     backing arrays. The object-start index is already exact: the filter
+     above and the tenuring promotions fed it in address order. *)
   H1_heap.compact_after_major heap;
-  H1_heap.rebuild_card_index heap;
   let compact_ns, _ = phase_delta t3 in
   trace_span_end rt ~name:"compact"
     [ ("dur_ns", Th_trace.Event.Float compact_ns) ];

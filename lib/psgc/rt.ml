@@ -21,14 +21,14 @@ let invalid_heap_state ~object_id ~phase =
 
 type collector = Ps | Ps_jdk11 | G1
 
-(* How minor GC finds old-to-young references. [Card_buckets] (default)
-   visits only the dirty cards' remembered-set buckets; [Linear_scan]
-   sweeps every old-generation object, checking its card — the original
-   O(#old objects) implementation, kept as a debug/equivalence oracle.
-   Both visit the same objects in the same order (the old generation is
-   address-sorted and buckets preserve insertion order), so they charge
-   identical simulated time. *)
-type rset_mode = Card_buckets | Linear_scan
+(* How minor GC finds old-to-young references. [Card_index] (default)
+   visits only the dirty cards' runs of the address-sorted old
+   generation, located through the card table's object-start index;
+   [Linear_scan] sweeps every old-generation object, checking its card —
+   the original O(#old objects) implementation, kept as a
+   debug/equivalence oracle. Both visit the same objects in the same
+   (address) order, so they charge identical simulated time. *)
+type rset_mode = Card_index | Linear_scan
 
 (* Pending move policy decided at the end of the previous major GC. *)
 type move_pressure = No_pressure | Move_all_tagged | Move_until_low
@@ -71,7 +71,7 @@ type t = {
 }
 
 let create ?(collector = Ps) ?(profile = Cost_profile.dram)
-    ?(rset_mode = Card_buckets) ?h2 ?(policy = Th_policy.Policy.threshold)
+    ?(rset_mode = Card_index) ?h2 ?(policy = Th_policy.Policy.threshold)
     ~clock ~costs ~heap () =
   {
     clock;
@@ -160,20 +160,9 @@ let teraheap_enabled t = t.h2 <> None
 
 let charge t cat ns = Clock.advance t.clock cat ns
 
-(* Parallel minor-GC work divides over the GC threads; PS's old-generation
-   (major) collection is single-threaded in OpenJDK8, parallel in the
-   JDK11/G1 configurations. *)
-let charge_minor t ns =
-  charge t Clock.Minor_gc
-    (Costs.parallel t.costs ~threads:t.costs.Costs.gc_threads ns)
-
+(* PS's old-generation (major) collection is single-threaded in OpenJDK8,
+   parallel in the JDK11/G1 configurations. *)
 let major_threads t =
   match t.collector with
   | Ps -> t.costs.Costs.old_gc_threads
   | Ps_jdk11 | G1 -> t.costs.Costs.gc_threads
-
-let gen_mult t (o : Obj_.t) =
-  match o.Obj_.loc with
-  | Obj_.Eden | Obj_.Survivor -> t.profile.Cost_profile.young_mult
-  | Obj_.Old -> t.profile.Cost_profile.old_mult
-  | Obj_.In_h2 | Obj_.Freed -> 1.0

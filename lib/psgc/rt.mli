@@ -23,9 +23,10 @@ val invalid_heap_state : object_id:int -> phase:string -> 'a
 
 type collector = Ps | Ps_jdk11 | G1
 
-type rset_mode = Card_buckets | Linear_scan
-(** How minor GC finds old-to-young references. [Card_buckets] (default)
-    visits only the dirty cards' remembered-set buckets; [Linear_scan]
+type rset_mode = Card_index | Linear_scan
+(** How minor GC finds old-to-young references. [Card_index] (default)
+    visits only the dirty cards' runs of the address-sorted old
+    generation, through the card table's object-start index; [Linear_scan]
     sweeps every old-generation object, checking its card — the original
     O(#old objects) implementation, kept as a debug/equivalence oracle. *)
 
@@ -90,12 +91,6 @@ val teraheap_enabled : t -> bool
 
 val charge : t -> Clock.category -> float -> unit
 
-val charge_minor : t -> float -> unit
-(** Parallel minor-GC work divides over the GC threads. *)
-
 val major_threads : t -> int
 (** PS's old-generation collection is single-threaded in OpenJDK8,
     parallel in the JDK11/G1 configurations. *)
-
-val gen_mult : t -> Obj_.t -> float
-(** Cost-profile multiplier for the generation holding the object. *)

@@ -7,36 +7,47 @@ type breakdown = {
   major_gc_ns : float;
 }
 
-type t = {
+(* All-float, so OCaml stores the fields flat and unboxed: a charge
+   updates the accumulator in place instead of allocating a fresh boxed
+   float, as it would in a record that also holds [tracer]. *)
+type acc = {
   mutable other : float;
   mutable serde_io : float;
   mutable minor : float;
   mutable major : float;
-  mutable tracer : Th_trace.Recorder.t option;
 }
 
+type t = { acc : acc; mutable tracer : Th_trace.Recorder.t option }
+
 let create () =
-  { other = 0.0; serde_io = 0.0; minor = 0.0; major = 0.0; tracer = None }
+  {
+    acc = { other = 0.0; serde_io = 0.0; minor = 0.0; major = 0.0 };
+    tracer = None;
+  }
 
 let set_tracer t tr = t.tracer <- tr
 let tracer t = t.tracer
 
 let advance t cat ns =
   if ns < 0.0 then invalid_arg "Clock.advance: negative charge";
+  let a = t.acc in
   match cat with
-  | Other -> t.other <- t.other +. ns
-  | Serde_io -> t.serde_io <- t.serde_io +. ns
-  | Minor_gc -> t.minor <- t.minor +. ns
-  | Major_gc -> t.major <- t.major +. ns
+  | Other -> a.other <- a.other +. ns
+  | Serde_io -> a.serde_io <- a.serde_io +. ns
+  | Minor_gc -> a.minor <- a.minor +. ns
+  | Major_gc -> a.major <- a.major +. ns
 
-let now_ns t = t.other +. t.serde_io +. t.minor +. t.major
+let now_ns t =
+  let a = t.acc in
+  a.other +. a.serde_io +. a.minor +. a.major
 
 let breakdown t =
+  let a = t.acc in
   {
-    other_ns = t.other;
-    serde_io_ns = t.serde_io;
-    minor_gc_ns = t.minor;
-    major_gc_ns = t.major;
+    other_ns = a.other;
+    serde_io_ns = a.serde_io;
+    minor_gc_ns = a.minor;
+    major_gc_ns = a.major;
   }
 
 let total_ns b = b.other_ns +. b.serde_io_ns +. b.minor_gc_ns +. b.major_gc_ns
@@ -56,10 +67,11 @@ let sub a b =
   }
 
 let reset t =
-  t.other <- 0.0;
-  t.serde_io <- 0.0;
-  t.minor <- 0.0;
-  t.major <- 0.0
+  let a = t.acc in
+  a.other <- 0.0;
+  a.serde_io <- 0.0;
+  a.minor <- 0.0;
+  a.major <- 0.0
 
 let pp_breakdown f b =
   let s ns = ns /. 1e9 in

@@ -38,6 +38,11 @@ let pop v =
     Some v.data.(v.len)
   end
 
+let pop_last v =
+  if v.len = 0 then invalid_arg "Vec.pop_last: empty vector";
+  v.len <- v.len - 1;
+  v.data.(v.len)
+
 let clear v = v.len <- 0
 
 let iter f v =

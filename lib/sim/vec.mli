@@ -27,6 +27,11 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** [pop v] removes and returns the last element, or [None] if empty. *)
 
+val pop_last : 'a t -> 'a
+(** [pop_last v] removes and returns the last element without allocating
+    an option, for array-backed worklists. Raises [Invalid_argument] if
+    [v] is empty. *)
+
 val clear : 'a t -> unit
 (** [clear v] resets the length to 0. Keeps the backing storage. *)
 

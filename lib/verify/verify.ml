@@ -104,63 +104,66 @@ let report t =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Rule 1: remembered-set completeness (H1 cards + bucket index)       *)
+(* Rule 1: remembered-set completeness (H1 cards + object-start index) *)
 
-let has_young_ref o =
-  let found = ref false in
-  Obj_.iter_refs (fun c -> if Obj_.is_young c then found := true) o;
-  !found
-
+(* One sweep of [old_objs] in step with the cards. Every index entry is
+   checked against its definition — [start_index c] is the position of
+   the first object starting on card [c] or later — so each card's range
+   holds exactly the objects starting on it, and the [Card_index] walk
+   and the [Linear_scan] oracle necessarily visit the same objects. Only
+   the first wrong entry is reported: one dropped object shifts every
+   entry after it. *)
 let check_rset t phase =
   let heap = t.rt.Rt.heap in
   let cards = heap.H1_heap.cards in
   let csize = Card_table.card_size cards in
   let ncards = Card_table.num_cards cards in
-  let in_bucket card (o : Obj_.t) =
-    let found = ref false in
-    Card_table.iter_card_objects cards ~card (fun x ->
-        if x == o then found := true);
-    !found
-  in
-  Vec.iter
-    (fun (o : Obj_.t) ->
-      if o.Obj_.loc = Obj_.Old then begin
-        let card = o.Obj_.addr / csize in
-        (* Out-of-range addresses are transiently possible right after a
-           major GC whose survivors overflowed the old generation (the
-           collector raises Out_of_memory immediately afterwards); the
-           card table skips them too. *)
-        if card >= 0 && card < ncards then begin
-          if has_young_ref o && not (Card_table.is_dirty cards ~card) then
-            add t ~rule:Rset_completeness ~phase ~object_id:o.Obj_.id ~card
-              "old object with a young reference on a clean card";
-          if not (in_bucket card o) then
-            add t ~rule:Rset_completeness ~phase ~object_id:o.Obj_.id ~card
-              "old object missing from its card's remembered-set bucket"
-        end
-      end)
-    heap.H1_heap.old_objs;
-  (* Bucket totals vs the linear sweep: every registered object must be an
-     old-generation resident, and the index must hold exactly the old
-     generation — the Card_buckets walk and the Linear_scan oracle then
-     necessarily visit the same objects. *)
-  let bucket_total = ref 0 in
-  for card = 0 to ncards - 1 do
-    bucket_total := !bucket_total + Card_table.card_object_count cards ~card;
-    Card_table.iter_card_objects cards ~card (fun o ->
-        if o.Obj_.loc <> Obj_.Old then
-          add t ~rule:Rset_completeness ~phase ~object_id:o.Obj_.id ~card
-            "remembered-set bucket holds a non-old-generation object"
-        else if o.Obj_.addr / csize <> card then
-          add t ~rule:Rset_completeness ~phase ~object_id:o.Obj_.id ~card
-            "remembered-set bucket holds an object of a different card")
-  done;
-  let old_count = Vec.length heap.H1_heap.old_objs in
-  if !bucket_total <> old_count then
+  let old_objs = heap.H1_heap.old_objs in
+  let n = Vec.length old_objs in
+  if Card_table.indexed_objects cards <> n then
     add t ~rule:Rset_completeness ~phase
       (Printf.sprintf
-         "remembered-set index holds %d objects, old generation has %d"
-         !bucket_total old_count)
+         "object-start index covers %d objects, old generation has %d"
+         (Card_table.indexed_objects cards) n);
+  let entry_ok = ref true in
+  (* Cards [0, !card) are checked; entries up to [upto] must be [i]. *)
+  let card = ref 0 in
+  let check_entries ~upto i =
+    while !card <= upto do
+      let got = Card_table.start_index cards ~card:!card in
+      if !entry_ok && got <> i then begin
+        entry_ok := false;
+        add t ~rule:Rset_completeness ~phase ~card:!card
+          (Printf.sprintf
+             "object-start entry is position %d, first object at or after \
+              the card is at %d" got i)
+      end;
+      incr card
+    done
+  in
+  let prev_addr = ref (-1) in
+  Vec.iteri
+    (fun i (o : Obj_.t) ->
+      if o.Obj_.addr <= !prev_addr then
+        add t ~rule:Rset_completeness ~phase ~object_id:o.Obj_.id
+          (Printf.sprintf
+             "old generation not address-sorted: address %d after %d"
+             o.Obj_.addr !prev_addr);
+      prev_addr := o.Obj_.addr;
+      (* Out-of-range addresses are transiently possible right after a
+         major GC whose survivors overflowed the old generation (the
+         collector raises Out_of_memory immediately afterwards); only the
+         in-range cards are checked. *)
+      let c = o.Obj_.addr / csize in
+      check_entries ~upto:(min c ncards) i;
+      if
+        o.Obj_.loc = Obj_.Old && c >= 0 && c < ncards && Obj_.has_young_ref o
+        && not (Card_table.is_dirty cards ~card:c)
+      then
+        add t ~rule:Rset_completeness ~phase ~object_id:o.Obj_.id ~card:c
+          "old object with a young reference on a clean card")
+    old_objs;
+  check_entries ~upto:ncards n
 
 (* ------------------------------------------------------------------ *)
 (* Rule 2: H2 card-state legality                                      *)

@@ -7,9 +7,10 @@
     instead of aborting:
 
     - {b rset-completeness} — every old-generation object with a young
-      reference sits on a dirty H1 card, and the card-indexed remembered
-      set holds exactly the old generation (so the [Card_buckets] walk
-      and the [Linear_scan] oracle visit the same objects);
+      reference sits on a dirty H1 card, the old generation is strictly
+      address-sorted, and every card's object-start range holds exactly
+      the objects starting on that card (so the [Card_index] walk and the
+      [Linear_scan] oracle visit the same objects);
     - {b h2-card-legality} — every H2 object with a backward reference is
       covered by a card segment whose state gets it scanned;
     - {b h2-card-transition} — only legal 4-state card transitions occur

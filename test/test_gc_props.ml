@@ -68,18 +68,21 @@ let base_config =
     capacity = Size.mib 16;
   }
 
-let execute ?(config = base_config) ?rset_mode ?on_runtime program =
+let execute ?(config = base_config) ?collector ?rset_mode ?on_runtime program =
   let clock = Clock.create () in
   let costs = Costs.default in
   let heap = H1_heap.create ~heap_bytes:(Size.mib 2) () in
   let device = Device.create clock Device.Nvme_ssd in
   let h2 = H2.create ~config ~clock ~costs ~device ~dr2_bytes:(Size.kib 256) () in
-  let rt = Runtime.create ?rset_mode ~h2 ~clock ~costs ~heap () in
+  let rt = Runtime.create ?collector ?rset_mode ~h2 ~clock ~costs ~heap () in
   (* Lets Test_verify attach its sanitizer before any operation runs. *)
   (match on_runtime with Some f -> f rt | None -> ());
   let table = Vec.create () in
   let pinned : (int, Obj_.t) Hashtbl.t = Hashtbl.create 16 in
-  let sizes = [| 64; 256; 1024; 4096 |] in
+  (* Selectors 4 and 5 are G1 humongous arrays (over half of the 64 KiB
+     G1 region a 2 MiB heap gets); only [humongous_program_gen] emits
+     them. *)
+  let sizes = [| 64; 256; 1024; 4096; 40_000; 70_000 |] in
   let get idx =
     if Vec.is_empty table then None
     else begin
@@ -92,7 +95,8 @@ let execute ?(config = base_config) ?rset_mode ?on_runtime program =
        (fun op ->
          match op with
          | Alloc s ->
-             let o = Runtime.alloc rt ~size:sizes.(s) () in
+             let kind = if s >= 4 then Obj_.Array_data else Obj_.Data in
+             let o = Runtime.alloc rt ~kind ~size:sizes.(s) () in
              (* Pin transiently through the table? No: objects are only
                 live if pinned or linked from a pinned object. *)
              Vec.push table o
@@ -341,7 +345,7 @@ let prop_safety_dynamic_thresholds =
 (* Invariant 8: the card-indexed remembered set is an exact drop-in for
    the linear old-generation sweep — same program, same simulated clock,
    same GC counts, same final object state. The old generation is
-   address-sorted and buckets keep insertion (= address) order, so both
+   address-sorted, so each card's objects are one run of it, and both
    modes visit the same objects in the same order and must charge
    identical simulated time. *)
 let prop_rset_modes_equivalent =
@@ -364,20 +368,21 @@ let prop_rset_modes_equivalent =
           Th_minijvm.Card_table.dirty_count (Runtime.heap rt).H1_heap.cards,
           objs )
       in
-      summarize Th_psgc.Rt.Card_buckets = summarize Th_psgc.Rt.Linear_scan)
+      summarize Th_psgc.Rt.Card_index = summarize Th_psgc.Rt.Linear_scan)
 
-(* Invariant 9: the remembered-set index is exact — for every card, the
-   bucket holds precisely the old-generation objects whose start address
-   lies on that card, in address order. *)
+(* Invariant 9: the object-start index is exact — for every card, its
+   position range holds precisely the old-generation objects whose start
+   address lies on that card, in address order. *)
 let prop_rset_index_exact =
-  QCheck.Test.make ~name:"card buckets exactly partition the old generation"
+  QCheck.Test.make
+    ~name:"object-start index exactly partitions the old generation"
     ~count:120 arbitrary_program
     (fun program ->
       let rt, _, _ = execute program in
       let heap = Runtime.heap rt in
       let ct = heap.H1_heap.cards in
       let module Card_table = Th_minijvm.Card_table in
-      (* Expected bucket contents from a fresh sweep of [old_objs]. *)
+      (* Expected card contents from a fresh sweep of [old_objs]. *)
       let expected : (int, Obj_.t list) Hashtbl.t = Hashtbl.create 64 in
       Vec.iter
         (fun (o : Obj_.t) ->
@@ -386,16 +391,62 @@ let prop_rset_index_exact =
           Hashtbl.replace expected c (o :: tl))
         heap.H1_heap.old_objs;
       let ids objs = List.map (fun (o : Obj_.t) -> o.Obj_.id) objs in
-      let ok = ref true in
+      let ok =
+        ref (Card_table.indexed_objects ct = Vec.length heap.H1_heap.old_objs)
+      in
       for c = 0 to Card_table.num_cards ct - 1 do
         let exp =
           List.rev (Option.value ~default:[] (Hashtbl.find_opt expected c))
         in
-        let got = ref [] in
-        Card_table.iter_card_objects ct ~card:c (fun o -> got := o :: !got);
-        if ids (List.rev !got) <> ids exp then ok := false
+        let lo = Card_table.start_index ct ~card:c in
+        let got =
+          List.init
+            (Card_table.start_index ct ~card:(c + 1) - lo)
+            (fun k -> Vec.get heap.H1_heap.old_objs (lo + k))
+        in
+        if ids got <> ids exp then ok := false
       done;
       !ok)
+
+(* The index rests on [old_objs] staying strictly address-sorted: bump
+   allocation appends at the top and compaction slides in order. Checked
+   at every safepoint under G1, whose humongous allocations go straight
+   to the old generation and bump [old_top] by their footprint, region
+   slack included. *)
+let humongous_program_gen =
+  QCheck.Gen.(
+    list_size (int_range 10 120)
+      (frequency
+         [ (1, map (fun s -> Alloc (4 + s)) (int_range 0 1)); (9, op_gen) ]))
+
+let prop_old_gen_sorted_at_safepoints =
+  QCheck.Test.make ~name:"old generation stays address-sorted (G1 humongous)"
+    ~count:120
+    (QCheck.make
+       ~print:(fun p -> String.concat "; " (List.map op_to_string p))
+       ~shrink:QCheck.Shrink.list humongous_program_gen)
+    (fun program ->
+      let sorted = ref true and safepoints = ref 0 in
+      let check (rt : Th_psgc.Rt.t) =
+        incr safepoints;
+        let objs = (Runtime.heap rt).H1_heap.old_objs in
+        for i = 1 to Vec.length objs - 1 do
+          if (Vec.get objs (i - 1)).Obj_.addr >= (Vec.get objs i).Obj_.addr
+          then sorted := false
+        done
+      in
+      let rt, _, _ =
+        (* H2 regions large enough for the two-region humongous arrays. *)
+        execute ~collector:Th_psgc.Rt.G1
+          ~config:{ base_config with H2.region_size = Size.kib 256 }
+          ~on_runtime:(fun rt ->
+            rt.Th_psgc.Rt.safepoint_hook <- Some (fun _ -> check rt))
+          program
+      in
+      (* A closing full collection, so even a GC-free program reaches
+         two safepoints and a compaction. *)
+      (try Runtime.major_gc rt with Runtime.Out_of_memory _ -> ());
+      !sorted && !safepoints >= 2)
 
 (* Invariant 10: after a major GC the space vectors hold no [Freed]
    entries and their backing arrays carry no slack referencing them. *)
@@ -418,6 +469,7 @@ let props =
     prop_no_reachable_object_freed;
     prop_rset_modes_equivalent;
     prop_rset_index_exact;
+    prop_old_gen_sorted_at_safepoints;
     prop_no_freed_after_major;
     prop_safety_region_groups;
     prop_safety_size_segregated;

@@ -34,6 +34,39 @@ let test_card_out_of_range () =
     (Invalid_argument "Card_table.card_of_addr: address out of range")
     (fun () -> Card_table.mark_dirty ct ~addr:(Size.kib 4))
 
+(* Objects at 0 and 100 (card 0), 1500 (card 2) and 5000 (card 9, past
+   the 4 KiB table: precompaction may place survivors there). *)
+let test_card_object_start_index () =
+  let ct = Card_table.create ~capacity_bytes:(Size.kib 4) () in
+  List.iter
+    (fun addr -> Card_table.note_object_start ct ~addr)
+    [ 0; 100; 1500; 5000 ];
+  let range card =
+    ( Card_table.start_index ct ~card,
+      Card_table.start_index ct ~card:(card + 1) )
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "card 0 owns positions 0-1" (0, 2) (range 0);
+  Alcotest.check pair "card 1 owns nothing" (2, 2) (range 1);
+  Alcotest.check pair "card 2 owns position 2" (2, 3) (range 2);
+  Alcotest.check pair "card past the table" (3, 4) (range 9);
+  Alcotest.check pair "cards past the last object" (4, 4) (range 20);
+  Card_table.mark_dirty ct ~addr:600;
+  Card_table.mark_dirty ct ~addr:1100;
+  let seen = ref [] in
+  Card_table.iter_dirty_ranges ct (fun card lo hi ->
+      seen := (card, lo, hi) :: !seen);
+  Alcotest.(check (list (triple int int int)))
+    "only dirty cards owning objects" [ (2, 2, 3) ] !seen;
+  Alcotest.check_raises "out of address order"
+    (Invalid_argument
+       "Card_table.note_object_start: address below the last object")
+    (fun () -> Card_table.note_object_start ct ~addr:1000);
+  Card_table.reset_index ct;
+  Alcotest.(check int) "reset empties the index" 0
+    (Card_table.indexed_objects ct);
+  Alcotest.check pair "reset card range" (0, 0) (range 2)
+
 (* ---- H1 heap ---- *)
 
 let test_h1_sizing_defaults () =
@@ -193,6 +226,8 @@ let suite =
     Alcotest.test_case "h1 card mark/clear" `Quick test_card_mark_and_clear;
     Alcotest.test_case "h1 card granularity" `Quick test_card_512b_granularity;
     Alcotest.test_case "h1 card range check" `Quick test_card_out_of_range;
+    Alcotest.test_case "h1 object-start index" `Quick
+      test_card_object_start_index;
     Alcotest.test_case "h1 sizing follows PS defaults" `Quick
       test_h1_sizing_defaults;
     Alcotest.test_case "h1 alloc accounting" `Quick test_h1_alloc_accounting;

@@ -23,7 +23,13 @@ let test_vec_pop () =
   let v = Vec.of_list [ 1; 2 ] in
   Alcotest.(check (option int)) "pop 2" (Some 2) (Vec.pop v);
   Alcotest.(check (option int)) "pop 1" (Some 1) (Vec.pop v);
-  Alcotest.(check (option int)) "empty" None (Vec.pop v)
+  Alcotest.(check (option int)) "empty" None (Vec.pop v);
+  let w = Vec.of_list [ 1; 2 ] in
+  Alcotest.(check int) "pop_last 2" 2 (Vec.pop_last w);
+  Alcotest.(check int) "pop_last 1" 1 (Vec.pop_last w);
+  Alcotest.check_raises "pop_last on empty"
+    (Invalid_argument "Vec.pop_last: empty vector") (fun () ->
+      ignore (Vec.pop_last w))
 
 let test_vec_filter_in_place () =
   let v = Vec.of_list [ 1; 2; 3; 4; 5; 6 ] in

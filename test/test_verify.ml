@@ -86,10 +86,42 @@ let test_detects_cleared_h1_card () =
   Verify.check_now v;
   check_detects v Verify.Rset_completeness
 
+(* Re-index the old generation without the object at position [k], as
+   if its object-start entry had been lost: every entry after it then
+   points one object too far. *)
+let drop_index_entry (heap : H1_heap.t) k =
+  let cards = heap.H1_heap.cards in
+  Card_table.reset_index cards;
+  Vec.iteri
+    (fun i (o : Obj_.t) ->
+      if i <> k then Card_table.note_object_start cards ~addr:o.Obj_.addr)
+    heap.H1_heap.old_objs
+
 let test_detects_dropped_rset_index () =
   let rt, _, _ = mk_rt () in
   let _ = make_old rt in
-  Card_table.clear_index (Runtime.heap rt).H1_heap.cards;
+  let _ = make_old rt in
+  drop_index_entry (Runtime.heap rt) 0;
+  let v = Verify.attach rt Verify.Paranoid in
+  Verify.check_now v;
+  check_detects v Verify.Rset_completeness
+
+(* Same object count, one wrong entry: the first old object is indexed
+   under the second one's card, so its own card's range comes out empty. *)
+let test_detects_misplaced_rset_entry () =
+  let rt, _, _ = mk_rt () in
+  let a = make_old rt in
+  let b = make_old rt in
+  let cards = (Runtime.heap rt).H1_heap.cards in
+  Alcotest.(check bool) "precondition: objects on different cards" true
+    (Card_table.card_of_addr cards a.Obj_.addr
+    < Card_table.card_of_addr cards b.Obj_.addr);
+  Card_table.reset_index cards;
+  Vec.iter
+    (fun (o : Obj_.t) ->
+      let addr = if o == a then b.Obj_.addr else o.Obj_.addr in
+      Card_table.note_object_start cards ~addr)
+    (Runtime.heap rt).H1_heap.old_objs;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
   check_detects v Verify.Rset_completeness
@@ -321,9 +353,10 @@ let prop_plant_index_drop =
   plant "dropping the remembered-set index is detected" ~count:40
     (fun rt _ _ ->
       let heap = Runtime.heap rt in
-      if Vec.length heap.H1_heap.old_objs = 0 then None
+      let n = Vec.length heap.H1_heap.old_objs in
+      if n = 0 then None
       else begin
-        Card_table.clear_index heap.H1_heap.cards;
+        drop_index_entry heap (n / 2);
         Some Verify.Rset_completeness
       end)
 
@@ -442,6 +475,8 @@ let suite =
       test_detects_cleared_h1_card;
     Alcotest.test_case "detects dropped rset index" `Quick
       test_detects_dropped_rset_index;
+    Alcotest.test_case "detects misplaced rset index entry" `Quick
+      test_detects_misplaced_rset_entry;
     Alcotest.test_case "detects illegally cleaned H2 card" `Quick
       test_detects_illegal_h2_card_clean;
     Alcotest.test_case "detects illegal card transition online" `Quick
