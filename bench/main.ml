@@ -10,13 +10,8 @@
    the domain count, defaulting to the machine's recommended count),
    then runs the renders serially in request order — so stdout is
    byte-identical for every jobs value. Timing goes to stderr, and a
-   machine-readable summary is merge-updated into BENCH_harness.json
+   machine-readable summary of this run is written to BENCH_harness.json
    (override the path with the TH_BENCH_JSON environment variable). *)
-
-(* Harness self-timing only: Sys.time here measures the harness's own
-   CPU cost for BENCH_harness.json and stderr. It never feeds a
-   simulated result, which all come from Th_sim.Clock. *)
-[@@@th.allow "wall-clock"]
 
 module Scheduler = Th_exec.Scheduler
 module Plan = Th_exec.Plan
@@ -154,9 +149,7 @@ let () =
   | Some s -> Runners.giraph_seed := Some (Int64.of_int s)
   | None -> ());
   let sched = Scheduler.create ~jobs () in
-  Runners.set_pool sched;
   let wall0 = Wall.now_s () in
-  let cpu0 = Sys.time () in
   let log =
     Fun.protect
       ~finally:(fun () -> Scheduler.shutdown sched)
@@ -164,7 +157,7 @@ let () =
         (* Build every requested plan first, then submit the cells of
            all sections as one global batch: the scheduler sees the
            whole cell population at once instead of 2–4 cells per
-           pmap call. *)
+           section. *)
         let plans = List.map (fun (n, d, mk) -> (n, d, mk ())) selected in
         let batch = List.concat_map (fun (_, _, s) -> Plan.cells s) plans in
         ignore (Scheduler.run_cells sched batch);
@@ -196,7 +189,6 @@ let () =
             Bench_log.jobs;
             sections = timed;
             total_wall_s = Wall.elapsed_s ~since:wall0;
-            total_cpu_s = Sys.time () -. cpu0;
           },
           stats ))
   in
@@ -214,11 +206,9 @@ let () =
      stdout stays byte-identical across --jobs values. *)
   Printf.eprintf
     "\n\
-     (benchmarks completed in %.1f s wall / %.1f s cpu, jobs=%d, measured \
-     speedup %.2fx vs serial (est %.2fx); %d cells in %d chunks, %d steals; \
-     %s)\n"
-    log.Bench_log.total_wall_s log.Bench_log.total_cpu_s jobs
+     (benchmarks completed in %.1f s wall, jobs=%d, measured speedup %.2fx \
+     vs serial; %d cells in %d chunks, %d steals; %s)\n"
+    log.Bench_log.total_wall_s jobs
     (Bench_log.speedup_vs_serial_measured log)
-    (Bench_log.speedup_vs_serial_est log)
     stats.Scheduler.cells stats.Scheduler.chunks stats.Scheduler.steals
     json_path

@@ -13,48 +13,11 @@ module Rt = Th_psgc.Rt
 module Gc_stats = Th_psgc.Gc_stats
 module H2 = Th_core.H2
 module Device = Th_device.Device
-
-module Pool = Th_exec.Pool
-module Scheduler = Th_exec.Scheduler
 module Plan = Th_exec.Plan
-
-(* The harness's work-stealing scheduler, installed once by [Main] (or
-   left unset by other entry points, in which case everything runs
-   serially in-place). Every experiment cell builds its own
-   clock/heap/device stack inside its thunk, so cells are independent
-   jobs; results come back in submission order, keeping all printing
-   serial and deterministic. *)
-let pool : Scheduler.t option ref = ref None
-
-let set_pool p = pool := Some p
-
-let jobs () = match !pool with Some p -> Scheduler.jobs p | None -> 1
 
 (* Deterministic base seed for the randomized (Giraph) drivers; settable
    via --seed. [None] keeps each driver's built-in default. *)
 let giraph_seed : int64 option ref = ref None
-
-let pmap (thunks : (unit -> 'a) list) : 'a list =
-  match !pool with
-  | Some p -> Scheduler.run_thunks p thunks
-  | None -> List.map (fun f -> f ()) thunks
-
-(* Run every cell of every group through the pool as ONE batch (maximum
-   parallelism across groups), then hand the results back regrouped per
-   key, in order. The regroup is a single indexed pass — the old
-   repeated filteri split was quadratic in the total cell count, which
-   matters now that cross-section batches reach ~100 cells. *)
-let pmap_grouped (groups : ('k * (unit -> 'a) list) list) : ('k * 'a list) list
-    =
-  let results = Array.of_list (pmap (List.concat_map snd groups)) in
-  let next = ref 0 in
-  List.map
-    (fun (key, cells) ->
-      let n = List.length cells in
-      let base = !next in
-      next := base + n;
-      (key, List.init n (fun i -> results.(base + i))))
-    groups
 
 (* Destructure the exactly-two-results shape every A/B experiment uses.
    A malformed cell batch is a harness bug; name the figure so the error
@@ -63,7 +26,7 @@ let pair2 ~what = function
   | [ a; b ] -> (a, b)
   | rs ->
       invalid_arg
-        (Printf.sprintf "%s: expected exactly 2 pool results, got %d" what
+        (Printf.sprintf "%s: expected exactly 2 cell results, got %d" what
            (List.length rs))
 
 let costs ?(threads = 8) () =

@@ -3,8 +3,9 @@
    layer, at --verify safepoint throughout. The A/B against the
    no-breaker baseline makes the resilience layer's effect visible in
    one table: same workload, same fault sequence, different outcome and
-   pause tail. Cells run on the harness pool; all printing is serial and
-   in submission order, so stdout is byte-identical for every --jobs. *)
+   pause tail. Cells run on the harness scheduler; all printing is
+   serial and in submission order, so stdout is byte-identical for every
+   --jobs. *)
 
 open Th_sim
 module Setups = Th_baselines.Setups

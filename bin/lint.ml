@@ -6,7 +6,6 @@
      --explain RULE       print a rule's documentation and exit
      --list-rules         one-line summary of every rule
      --self-test          run the analyzer over its embedded fixtures
-     --dump-fixtures DIR  write the embedded fixtures as files into DIR
      --callgraph-dump     print the cross-library call graph and exit
      --interleave [full]  run the bounded-interleaving deque checker
      -o FILE              write the report to FILE instead of stdout
@@ -53,33 +52,7 @@ let list_rules () =
       Printf.printf "%-20s %-17s %s\n" r.name
         (Th_analysis.Rule.family_to_string r.family)
         r.synopsis)
-    Th_analysis.Rule.all;
-  Printf.printf "%-20s %-17s %s\n" "missing-mli" "invariant-hygiene"
-    "lib/ compilation unit without a sealing .mli (file-system check)";
-  exit 0
-
-(* Regenerate test/fixtures/analysis/ from the embedded snippets. The
-   alcotest suite asserts file = snippet, so this is the one sanctioned
-   way to update the fixtures after editing Selftest.cases. *)
-let dump_fixtures dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-    Printf.eprintf "lint: --dump-fixtures: %s is not a directory\n" dir;
-    exit 2
-  end;
-  List.iter
-    (fun (c : Th_analysis.Selftest.case) ->
-      List.iter
-        (fun (polarity, contents) ->
-          let file =
-            Filename.concat dir
-              (Th_analysis.Selftest.fixture_basename ~polarity c.rule)
-          in
-          let oc = open_out file in
-          output_string oc contents;
-          close_out oc;
-          Printf.printf "lint: wrote %s\n" file)
-        [ (`Pos, c.positive); (`Neg, c.negative) ])
-    Th_analysis.Selftest.cases;
+    Th_analysis.Rule.catalog;
   exit 0
 
 (* Exhaustive schedule enumeration over the deque's owner/thief
@@ -157,10 +130,7 @@ let () =
         let names = String.split_on_char ',' v |> List.filter (fun s -> s <> "") in
         List.iter
           (fun n ->
-            if
-              Th_analysis.Rule.find n = None
-              && not (String.equal n "missing-mli")
-            then begin
+            if Th_analysis.Rule.find n = None then begin
               Printf.eprintf "lint: unknown rule %S in --rules\n" n;
               exit 2
             end)
@@ -177,8 +147,6 @@ let () =
     | "--interleave" :: _ -> interleave ~full:false
     | "--callgraph-dump" :: rest ->
         callgraph_dump (match rest with [] -> default_paths | ps -> ps)
-    | "--dump-fixtures" :: dir :: _ -> dump_fixtures dir
-    | [ "--dump-fixtures" ] -> usage ()
     | "-o" :: v :: rest | "--output" :: v :: rest ->
         output := Some v;
         parse_args rest
@@ -198,7 +166,10 @@ let () =
   let result = Th_analysis.Engine.analyze_files ?rules:!rules files in
   let fs_findings =
     match !rules with
-    | Some names when not (List.exists (String.equal "missing-mli") names) -> []
+    | Some names
+      when not (List.exists (String.equal Th_analysis.Rule.missing_mli.name) names)
+      ->
+        []
     | _ -> Th_analysis.Fscheck.missing_mli files
   in
   let findings =

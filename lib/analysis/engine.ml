@@ -210,33 +210,6 @@ let check_catch_all ctx cases =
 (* closure (pmap-mutable-global) and captured mutable locals           *)
 (* (escape-capture)                                                    *)
 
-let pmap_callee ctx fn =
-  match fn.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      let path = Syntax.flatten_lid txt in
-      match path with
-      | [ ("pmap" | "pmap_grouped") ] when shadow_count ctx (List.hd path) = 0
-        ->
-          Some (List.hd path)
-      | _ -> (
-          match Syntax.last2 path with
-          | Some ("Pool", ("run" | "map"))
-          | Some ("Runners", ("pmap" | "pmap_grouped"))
-          | Some ("Scheduler", ("run_cells" | "run_thunks"))
-          | Some
-              ( "Plan",
-                ( "cell" | "cell_list" | "costed_list" | "grouped"
-                | "grouped_costed" ) )
-          | Some ("Cell", ("make" | "of_thunk"))
-          (* Placement-policy callbacks run on whichever worker domain
-             owns the runtime that installs the policy, so a capture at
-             construction time is a cross-domain escape. *)
-          | Some ("Policy", "make")
-          | Some ("Domain", "spawn") ->
-              Some (String.concat "." path)
-          | _ -> None))
-  | _ -> None
-
 let check_pmap_site ctx callee args =
   let seen = Hashtbl.create 8 in
   let seen_escape = Hashtbl.create 8 in
@@ -378,7 +351,7 @@ let run_structure ctx str =
                            op)
                 | _ -> ())
             | _ -> ());
-            (match pmap_callee ctx fn with
+            (match Syntax.worker_sink fn with
             | Some callee -> check_pmap_site ctx callee args
             | None -> ());
             sub fn;

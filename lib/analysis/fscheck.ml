@@ -51,7 +51,7 @@ let missing_mli files =
             Finding.file = path;
             line = 1;
             col = 0;
-            rule = "missing-mli";
+            rule = Rule.missing_mli.name;
             severity = Finding.Error;
             message = "compilation unit has no sealing .mli interface";
           }

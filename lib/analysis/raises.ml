@@ -25,9 +25,10 @@
    - fault-barrier: a definition must not leak a tracked exception it
      neither handles nor declares; [Out_of_h2_space] must never escape
      [Ps_gc]'s move passes, declared or not.
-   - cell-boundary: thunks handed to Cell/Plan/Scheduler/Pool sinks may
-     only let [Out_of_memory]/[Invalid_heap_state] escape — the
-     scheduler's documented re-raise set.
+   - cell-boundary: thunks handed to a worker-domain sink
+     ([Syntax.worker_sinks]) may only let
+     [Out_of_memory]/[Invalid_heap_state] escape — the scheduler's
+     documented re-raise set.
    - pure-render: [Plan.seal ~render] callbacks must be exception-free
      and effect-free (no mutable globals reachable). *)
 
@@ -210,33 +211,21 @@ let is_raise env fn =
       | _ -> false)
   | _ -> false
 
-(* Thunks handed to these callees run later, on a worker domain — their
-   raises are not the enclosing definition's to answer for (the
-   cell-boundary and pure-render rules audit them instead), so [eval]
-   skips function-valued arguments at these applications. *)
-let deferral_sink env fn =
+let render_sink fn =
   match fn.pexp_desc with
   | Pexp_ident { txt; _ } -> (
-      let path = Syntax.flatten_lid txt in
-      match path with
-      | [ ("pmap" | "pmap_grouped") ] when shadow_count env (List.hd path) = 0
-        ->
-          Some (String.concat "." path)
-      | _ -> (
-          match Syntax.last2 path with
-          | Some ("Pool", ("run" | "map"))
-          | Some ("Runners", ("pmap" | "pmap_grouped"))
-          | Some ("Scheduler", ("run_cells" | "run_thunks"))
-          | Some
-              ( "Plan",
-                ( "cell" | "cell_list" | "costed_list" | "grouped"
-                | "grouped_costed" | "seal" ) )
-          | Some ("Cell", ("make" | "of_thunk"))
-          | Some ("Policy", "make")
-          | Some ("Domain", "spawn") ->
-              Some (String.concat "." path)
-          | _ -> None))
+      match Syntax.last2 (Syntax.flatten_lid txt) with
+      | Some ("Plan", "seal") -> Some "Plan.seal"
+      | _ -> None)
   | _ -> None
+
+(* Thunks handed to a worker sink run later, on a worker domain, and a
+   render runs after the batch — their raises are not the enclosing
+   definition's to answer for (the cell-boundary and pure-render rules
+   audit them instead), so [eval] skips function-valued arguments at
+   these applications. *)
+let deferral_sink fn =
+  match Syntax.worker_sink fn with Some _ as s -> s | None -> render_sink fn
 
 let rec is_function e =
   match e.pexp_desc with
@@ -296,7 +285,7 @@ let rec eval env e =
             ident_contrib ~apply_args:args env txt fn.pexp_loc
         | _ -> eval env fn
       in
-      match deferral_sink env fn with
+      match deferral_sink fn with
       | Some _ ->
           (* Non-function arguments still evaluate here and now. *)
           List.fold_left
@@ -618,40 +607,6 @@ let check_def t ~lib acc ~modname ~prefix ~allows vb =
           else acc)
         acc inferred
 
-(* The sinks whose thunk arguments cross onto worker domains, audited
-   by cell-boundary. Policy.make callbacks run during GC on whichever
-   domain owns the runtime — same discipline. *)
-let cell_sink fn shadow_count =
-  match fn.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      let path = Syntax.flatten_lid txt in
-      match path with
-      | [ ("pmap" | "pmap_grouped") ] when shadow_count (List.hd path) = 0 ->
-          Some (List.hd path)
-      | _ -> (
-          match Syntax.last2 path with
-          | Some ("Pool", ("run" | "map"))
-          | Some ("Runners", ("pmap" | "pmap_grouped"))
-          | Some ("Scheduler", ("run_cells" | "run_thunks"))
-          | Some
-              ( "Plan",
-                ( "cell" | "cell_list" | "costed_list" | "grouped"
-                | "grouped_costed" ) )
-          | Some ("Cell", ("make" | "of_thunk"))
-          | Some ("Policy", "make")
-          | Some ("Domain", "spawn") ->
-              Some (String.concat "." path)
-          | _ -> None))
-  | _ -> None
-
-let render_sink fn =
-  match fn.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match Syntax.last2 (Syntax.flatten_lid txt) with
-      | Some ("Plan", "seal") -> Some "Plan.seal"
-      | _ -> None)
-  | _ -> None
-
 let check_file t (s : Source.t) =
   match s.ast with
   | Source.Signature _ -> []
@@ -770,7 +725,7 @@ let check_file t (s : Source.t) =
         let allows = Syntax.attr_allows e.pexp_attributes @ allows in
         (match e.pexp_desc with
         | Pexp_apply (fn, args) -> (
-            (match cell_sink fn (shadow_count env) with
+            (match Syntax.worker_sink fn with
             | Some callee -> check_cell_site ~allows callee args
             | None -> ());
             match render_sink fn with
@@ -779,8 +734,9 @@ let check_file t (s : Source.t) =
         | _ -> ());
         iter_children ~allows e
       and iter_children ~allows e =
-        (* Maintain the same shadow discipline as [eval] so bare sink
-           names ([pmap]) are only matched when unshadowed. *)
+        (* Maintain the same shadow discipline as [eval], so a sink
+           argument's reference to an enclosing local is not resolved
+           as a top-level definition of the same name. *)
         match e.pexp_desc with
         | Pexp_fun (_, dflt, pat, body) ->
             Option.iter (walk_expr ~allows) dflt;

@@ -20,6 +20,16 @@ let family_to_string = function
   | Exception_flow -> "exception-flow"
   | Hygiene -> "invariant-hygiene"
 
+(* [Syntax.worker_sinks] as an indented, wrapped block for the explain
+   texts, so the prose can never name a different set than the rules
+   check. *)
+let worker_sinks_block =
+  Format.asprintf "@[<hov 2>  %a@]"
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+       (fun ppf (m, f) -> Format.fprintf ppf "%s.%s" m f))
+    Syntax.worker_sinks
+
 let all =
   [
     {
@@ -100,20 +110,21 @@ let all =
         "mutable top-level state reachable from a closure run on a worker \
          domain";
       explain =
-        "Benchmark cells submitted to the work-stealing scheduler \n\
-         (Scheduler.run_cells/run_thunks, Cell.make/of_thunk, \n\
-         Plan.cell/cell_list/costed_list/grouped/grouped_costed, \n\
-         Pool.run/map, Runners.pmap/pmap_grouped) execute on worker \n\
-         domains, and the select/observe callbacks assembled by \n\
-         Policy.make run on whichever worker domain owns the runtime \n\
-         that installs the policy. Any \n\
-         top-level ref, Hashtbl, Vec, Buffer or array they touch — \n\
-         directly or through a called function, which this rule resolves \n\
-         over the intra-library call graph — is shared across domains \n\
-         without synchronisation: a data race, and even when benign the \n\
-         interleaving is nondeterministic. Confine mutable state to the \n\
-         cell (create it inside the closure) and mutate shared structures \n\
-         only on the serial render path after the pool returns.";
+        "Benchmark cells submitted to the work-stealing scheduler execute \n\
+         on worker domains, and the select/observe callbacks of a \n\
+         placement policy run on whichever worker domain owns the runtime \n\
+         that installs the policy. The rule inspects every closure passed \n\
+         to one of these worker-domain sinks:\n\n"
+        ^ worker_sinks_block
+        ^ "\n\n\
+         Any top-level ref, Hashtbl, Vec, Buffer or array such a \n\
+         closure touches — directly or through a called function, which \n\
+         this rule resolves over the intra-library call graph — is shared \n\
+         across domains without synchronisation: a data race, and even \n\
+         when benign the interleaving is nondeterministic. Confine mutable \n\
+         state to the cell (create it inside the closure) and mutate \n\
+         shared structures only on the serial render path after the batch \n\
+         returns.";
     };
     {
       name = "escape-capture";
@@ -122,19 +133,20 @@ let all =
       synopsis =
         "local mutable value captured by a closure handed to a worker domain";
       explain =
-        "Closures passed to Cell.make/of_thunk, Plan.cell*, \n\
-         Scheduler.run_cells/run_thunks, Pool.run/map, Runners.pmap*, \n\
-         Policy.make (placement-policy callbacks run on the domain that \n\
-         owns the runtime — build each policy inside its cell), or \n\
-         Domain.spawn execute on worker domains. A captured local ref, \n\
-         array, Hashtbl, Buffer or record with mutable fields becomes \n\
-         cross-domain shared state with no synchronisation — the OCaml \n\
-         memory model makes the racing accesses themselves well-defined, \n\
-         but the values observed are not, and torn protocols (index \n\
-         published before payload) follow. Allocate the state inside the \n\
-         closure so it is domain-local, switch to Atomic.t (which the rule \n\
-         recognises and never flags), or — when the sharing is by design, \n\
-         e.g. a single-writer result slot read only after the pool joins, \n\
+        "Closures passed to these sinks execute on worker domains \n\
+         (placement-policy callbacks run on the domain that owns the \n\
+         runtime — build each policy inside its cell):\n\n"
+        ^ worker_sinks_block
+        ^ "\n\n\
+         A captured local ref, array, Hashtbl, Buffer or record with \n\
+         mutable fields becomes cross-domain shared state with no \n\
+         synchronisation — the OCaml memory model makes the racing \n\
+         accesses themselves well-defined, but the values observed are \n\
+         not, and torn protocols (index published before payload) \n\
+         follow. Allocate the state inside the closure so it is \n\
+         domain-local, switch to Atomic.t (which the rule recognises and \n\
+         never flags), or — when the sharing is by design, \n\
+         e.g. a single-writer result slot read only after the batch joins, \n\
          or disjoint array indices per cell — bless the capture with \n\
          [@th.allow \"domain_shared <why it is safe>\"]. The justification \n\
          is mandatory: a bare \"domain_shared\" token waives nothing, and \n\
@@ -236,7 +248,7 @@ let all =
       family = Exception_flow;
       severity = Finding.Error;
       synopsis =
-        "a thunk handed to Cell/Plan/Scheduler/Pool can leak beyond \
+        "a thunk handed to a worker-domain sink can leak beyond \
          Out_of_memory/Invalid_heap_state";
       explain =
         "The work-stealing scheduler captures a cell's exception, drains \n\
@@ -246,10 +258,11 @@ let all =
          boundary (an Io_error that skipped its retry episode, a \n\
          Not_serializable from a fallback path) aborts the whole batch \n\
          and loses the per-cell outcome the benchmarks record. The rule \n\
-         evaluates the raises summary of every closure handed to \n\
-         Cell.make/of_thunk, Plan.cell*, Scheduler.run_cells/run_thunks, \n\
-         Pool.run/map, Runners.pmap*, Policy.make or Domain.spawn and \n\
-         flags each constructor outside the allowed pair. Handle the \n\
+         evaluates the raises summary of every closure handed to one of \n\
+         these worker-domain sinks:\n\n"
+        ^ worker_sinks_block
+        ^ "\n\n\
+         It flags each constructor outside the allowed pair. Handle the \n\
          exception inside the cell and fold it into the result value \n\
          (Run_result's Degraded/Failed outcomes exist for this).";
     };
@@ -311,18 +324,44 @@ let all =
     };
   ]
 
-let names = List.map (fun r -> r.name) all
+let missing_mli =
+  {
+    name = "missing-mli";
+    family = Hygiene;
+    severity = Finding.Error;
+    synopsis = "lib/ compilation unit without a sealing .mli (file-system check)";
+    explain =
+      "Every library compilation unit must be sealed by an interface. \n\
+       This is the one check that cannot live at the AST level: Fscheck \n\
+       runs it against the file system and reports every .ml file under \n\
+       a lib path segment with no sibling .mli. bin/, bench/ and test/ \n\
+       hold executables and test runners and are exempt. The interface \n\
+       keeps a module's internal state (tables, refs, helpers) out of \n\
+       reach of other libraries.";
+  }
 
-let find name = List.find_opt (fun r -> String.equal r.name name) all
+let catalog = all @ [ missing_mli ]
+
+let names = List.map (fun r -> r.name) catalog
+
+let find name = List.find_opt (fun r -> String.equal r.name name) catalog
 
 let explain_text r =
-  Printf.sprintf
-    "%s (%s, %s)\n  %s\n\n%s\n\nWaive a specific site with [@th.allow %S] on \
-     the expression, a\nwhole definition with [@@th.allow %S], a file with \
-     [@@@th.allow %S],\nor a comment (* th-lint: allow %s *) on the line or \
-     up to three lines\nabove the finding. Every waiver should say why the \
-     site is safe.\n"
-    r.name
-    (family_to_string r.family)
-    (Finding.severity_to_string r.severity)
-    r.synopsis r.explain r.name r.name r.name r.name
+  let body =
+    Printf.sprintf "%s (%s, %s)\n  %s\n\n%s\n\n" r.name
+      (family_to_string r.family)
+      (Finding.severity_to_string r.severity)
+      r.synopsis r.explain
+  in
+  if String.equal r.name missing_mli.name then
+    body ^ "A missing file has no site to waive: add the .mli.\n"
+  else
+    body
+    ^ Printf.sprintf
+        "Waive a specific site with [@th.allow %S] on the expression, a\n\
+         whole definition with [@@th.allow %S], a file with [@@@th.allow \
+         %S],\n\
+         or a comment (* th-lint: allow %s *) on the line or up to three \
+         lines\n\
+         above the finding. Every waiver should say why the site is safe.\n"
+        r.name r.name r.name r.name

@@ -22,11 +22,21 @@ type t = {
 }
 
 val all : t list
-(** Every rule, in stable documentation order. *)
+(** Every rule the {!Engine} runs over the AST, in stable documentation
+    order. *)
+
+val missing_mli : t
+(** The file-system rule {!Fscheck.missing_mli} reports. *)
+
+val catalog : t list
+(** [all] then [missing_mli]: every rule [lint.exe] lists, filters on
+    and explains. *)
 
 val names : string list
+(** The names in {!catalog}. *)
 
 val find : string -> t option
+(** Look a name up in {!catalog}. *)
 
 val family_to_string : family -> string
 

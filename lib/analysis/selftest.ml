@@ -1,8 +1,7 @@
 type case = { rule : string; positive : string; negative : string }
 
-(* Keep these snippets in sync with test/fixtures/analysis/: the
-   alcotest suite asserts that each fixture file equals the embedded
-   snippet, so the two can never drift apart. *)
+(* One case per rule, in Rule.all order; the alcotest suite checks the
+   order. *)
 let cases =
   [
     {
@@ -51,12 +50,18 @@ let cases =
       positive =
         "let total = ref 0\n\n\
          let bump n = total := !total + n\n\n\
-         let run pool xs =\n\
-        \  Th_exec.Pool.map pool (fun x -> bump x; total := !total + x; x) xs\n";
+         let cells xs =\n\
+        \  List.map\n\
+        \    (fun x -> Th_exec.Cell.make (fun () -> bump x; total := !total + x; x))\n\
+        \    xs\n";
       negative =
-        "let run pool xs =\n\
+        "let run sched xs =\n\
         \  let results =\n\
-        \    Th_exec.Pool.map pool (fun x -> let acc = ref 0 in acc := x; !acc) xs\n\
+        \    Th_exec.Scheduler.run_cells sched\n\
+        \      (List.map\n\
+        \         (fun x ->\n\
+        \           Th_exec.Cell.make (fun () -> let acc = ref 0 in acc := x; !acc))\n\
+        \         xs)\n\
         \  in\n\
         \  let total = ref 0 in\n\
         \  List.iter (fun r -> total := !total + r) results;\n\
@@ -65,13 +70,13 @@ let cases =
     {
       rule = "escape-capture";
       positive =
-        "let run pool xs =\n\
+        "let cells xs =\n\
         \  let acc = ref 0 in\n\
-        \  Th_exec.Pool.map pool (fun x -> acc := !acc + x; x) xs\n";
+        \  List.map (fun x -> Th_exec.Cell.make (fun () -> acc := !acc + x; x)) xs\n";
       negative =
-        "let run pool xs =\n\
+        "let cells xs =\n\
         \  let hits = Atomic.make 0 [@th.atomic \"shared hit counter\"] in\n\
-        \  Th_exec.Pool.map pool (fun x -> Atomic.incr hits; x) xs\n";
+        \  List.map (fun x -> Th_exec.Cell.make (fun () -> Atomic.incr hits; x)) xs\n";
     };
     {
       rule = "atomic-missing-role";
@@ -120,17 +125,6 @@ let cases =
          let shutdown () = ignore (Atomic.compare_and_set closed false true)\n";
     };
     {
-      rule = "catch-all-match";
-      positive =
-        "type state = Clean | Dirty | Young_gen | Old_gen\n\n\
-         let scan s = match s with Clean -> 0 | _ -> 1\n";
-      negative =
-        "type state = Clean | Dirty | Young_gen | Old_gen\n\n\
-         let scan s =\n\
-        \  match s with Clean -> 0 | Dirty -> 1 | Young_gen -> 2 | Old_gen -> 3\n\n\
-         let unrelated x = match x with None -> 0 | _ -> 1\n";
-    };
-    {
       rule = "fault-barrier";
       positive =
         "exception Io_error of string\n\n\
@@ -145,15 +139,16 @@ let cases =
       positive =
         "exception Io_error of string\n\n\
          let risky () = raise (Io_error \"disk\") [@@th.raises \"Io_error\"]\n\n\
-         let run pool xs = Th_exec.Pool.map pool (fun x -> risky (); x) xs\n";
+         let cells xs = List.map (fun x -> Th_exec.Cell.make (fun () -> risky (); x)) xs\n";
       negative =
         "exception Io_error of string\n\n\
          let risky () = raise (Io_error \"disk\") [@@th.raises \"Io_error\"]\n\n\
-         let run pool xs =\n\
-        \  Th_exec.Pool.map pool\n\
+         let cells xs =\n\
+        \  List.map\n\
         \    (fun x ->\n\
-        \      (try risky () with Io_error _ -> ());\n\
-        \      x)\n\
+        \      Th_exec.Cell.make (fun () ->\n\
+        \          (try risky () with Io_error _ -> ());\n\
+        \          x))\n\
         \    xs\n";
     };
     {
@@ -169,6 +164,17 @@ let cases =
         \      let b = Buffer.create 16 in\n\
         \      Buffer.add_string b (string_of_int v);\n\
         \      Buffer.contents b)\n";
+    };
+    {
+      rule = "catch-all-match";
+      positive =
+        "type state = Clean | Dirty | Young_gen | Old_gen\n\n\
+         let scan s = match s with Clean -> 0 | _ -> 1\n";
+      negative =
+        "type state = Clean | Dirty | Young_gen | Old_gen\n\n\
+         let scan s =\n\
+        \  match s with Clean -> 0 | Dirty -> 1 | Young_gen -> 2 | Old_gen -> 3\n\n\
+         let unrelated x = match x with None -> 0 | _ -> 1\n";
     };
     {
       rule = "obj-magic";

@@ -3,10 +3,10 @@
     Each case pairs one minimal positive snippet (must produce at least
     one finding of its rule) with one negative snippet (must produce
     none — typically the idiomatic fix, or prose/strings that fooled
-    the old char-level linter). The same snippets are mirrored as files
-    under [test/fixtures/analysis/] for the alcotest suite; embedding
-    them here lets [lint.exe --self-test] run anywhere, including from
-    [dune runtest] sandboxes, without filesystem dependencies. *)
+    the old char-level linter). These snippets are the only copy: the
+    alcotest suite analyzes them under their {!fixture_basename}, and
+    embedding them lets [lint.exe --self-test] run anywhere, including
+    from [dune runtest] sandboxes, without filesystem dependencies. *)
 
 type case = {
   rule : string;
@@ -18,7 +18,7 @@ val cases : case list
 (** One case per rule in {!Rule.all} order. *)
 
 val fixture_basename : polarity:[ `Pos | `Neg ] -> string -> string
-(** The on-disk fixture file name for a rule's snippet, e.g.
+(** The file name a rule's snippet is analyzed under, e.g.
     [fixture_basename ~polarity:`Pos "hashtbl-order"] is
     ["hashtbl_order_pos.ml"]. *)
 

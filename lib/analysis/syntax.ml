@@ -11,11 +11,42 @@ let flatten_lid lid =
      match a rule pattern, so map them to the empty path. *)
   match Longident.flatten lid with l -> l | exception _ -> []
 
-(* Last two components of a path: [Th_exec.Pool.map] and [Pool.map] both
-   resolve to [("Pool", "map")], which is how rules name stdlib and
-   intra-repo modules regardless of library wrapping. *)
+(* Last two components of a path: [Stdlib.Hashtbl.iter] and
+   [Hashtbl.iter] both resolve to [("Hashtbl", "iter")], which is how
+   rules name stdlib and intra-repo modules regardless of library
+   wrapping. *)
 let last2 path =
   match List.rev path with n :: m :: _ -> Some (m, n) | _ -> None
+
+(* The one table of callees whose closure arguments run on a worker
+   domain. Placement-policy callbacks count: they run on whichever
+   worker domain owns the runtime that installs the policy, so a
+   capture at construction time is a cross-domain escape. *)
+let worker_sinks =
+  [
+    ("Scheduler", "run_cells");
+    ("Plan", "cell");
+    ("Plan", "cell_list");
+    ("Plan", "costed_list");
+    ("Plan", "grouped");
+    ("Plan", "grouped_costed");
+    ("Cell", "make");
+    ("Policy", "make");
+    ("Domain", "spawn");
+  ]
+
+let worker_sink (fn : expression) =
+  match fn.pexp_desc with
+  | Pexp_ident { txt; _ } -> (
+      let path = flatten_lid txt in
+      match last2 path with
+      | Some (m, f)
+        when List.exists
+               (fun (m', f') -> String.equal m m' && String.equal f f')
+               worker_sinks ->
+          Some (String.concat "." path)
+      | _ -> None)
+  | _ -> None
 
 let split_words s =
   String.split_on_char ' ' s

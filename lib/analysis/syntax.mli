@@ -11,8 +11,20 @@ val flatten_lid : Longident.t -> string list
 (** [Longident.flatten] that maps functor applications to []. *)
 
 val last2 : string list -> (string * string) option
-(** Last two components of a path, e.g. [Th_exec.Pool.map] and
-    [Pool.map] both give [("Pool", "map")]. *)
+(** Last two components of a path, e.g. [Stdlib.Hashtbl.iter] and
+    [Hashtbl.iter] both give [("Hashtbl", "iter")]. *)
+
+val worker_sinks : (string * string) list
+(** The callees whose closure arguments run on a worker domain, as
+    {!last2} pairs. The domain-safety rules ([pmap-mutable-global],
+    [escape-capture]), the [cell-boundary] rule and the raises
+    inference all read this one table, and the rules' [--explain]
+    texts print it. *)
+
+val worker_sink : Parsetree.expression -> string option
+(** [Some path], the callee as written with its full module path,
+    when the expression is an identifier whose {!last2} is in
+    {!worker_sinks}. *)
 
 val split_words : string -> string list
 (** Split on spaces, tabs, newlines and commas, dropping empties. *)

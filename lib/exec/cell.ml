@@ -11,8 +11,6 @@ let default_cost = 1.0
 let make ?(label = "cell") ?(cost = default_cost) ?(lane = 0) run =
   { label; cost = (if Float.is_finite cost && cost > 0.0 then cost else default_cost); lane; run }
 
-let of_thunk run = make run
-
 let label t = t.label
 
 let cost t = t.cost

@@ -16,9 +16,6 @@ val make : ?label:string -> ?cost:float -> ?lane:int -> (unit -> 'a) -> 'a t
 (** Non-finite or non-positive [cost] hints fall back to
     {!default_cost}; a bad hint must never break scheduling. *)
 
-val of_thunk : (unit -> 'a) -> 'a t
-(** [make] with every default: label ["cell"], cost 1.0, lane 0. *)
-
 val label : 'a t -> string
 val cost : 'a t -> float
 val lane : 'a t -> int

@@ -329,8 +329,6 @@ let run_cells ?pin ?(chunk_max = 16) t cells =
            | None ->
                failwith "Scheduler.run_cells: cell finished without a result")
 
-let run_thunks t thunks = run_cells t (List.map Cell.of_thunk thunks)
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.shutting_down <- true;

@@ -48,9 +48,6 @@ val run_cells : ?pin:(int -> int) -> ?chunk_max:int -> t -> 'a Cell.t list -> 'a
     descending-cost order) to the domain the chunk is seeded on —
     [Invalid_argument] if outside [0, jobs). *)
 
-val run_thunks : t -> (unit -> 'a) list -> 'a list
-(** [run_cells] over {!Cell.of_thunk} — cost-blind compatibility path. *)
-
 val last_batch : t -> batch_stats
 (** Stats of the most recent batch (zeros before the first). The stats
     are scheduling-dependent: report them to stderr or JSON, never to

@@ -1,10 +1,10 @@
 (* Tests for the Th_analysis AST analyzer (lib/analysis).
 
-   The per-rule fixtures under fixtures/analysis/ mirror the snippets
-   embedded in Th_analysis.Selftest — the first test asserts file =
-   snippet so the two can never drift (regenerate the files with
-   `dune exec bin/lint.exe -- --dump-fixtures test/fixtures/analysis`
-   after editing Selftest.cases). *)
+   The per-rule positive/negative snippets live only in
+   Th_analysis.Selftest; tests that need one analyze it under its
+   Selftest.fixture_basename. fixtures/analysis/ holds the hand-written
+   fixtures (waivers, the block-manager regression, Policy.make
+   captures) that have no embedded counterpart. *)
 
 module Finding = Th_analysis.Finding
 module Engine = Th_analysis.Engine
@@ -12,20 +12,27 @@ module Source = Th_analysis.Source
 module Report = Th_analysis.Report
 module Rule = Th_analysis.Rule
 module Selftest = Th_analysis.Selftest
+module Syntax = Th_analysis.Syntax
 
 let fixture_dir = Filename.concat "fixtures" "analysis"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let analyze_fixture file =
-  let path = Filename.concat fixture_dir file in
-  match Source.parse_file path with
-  | Ok s -> Engine.analyze [ s ]
+let parse_fixture file =
+  match Source.parse_file (Filename.concat fixture_dir file) with
+  | Ok s -> s
   | Error m -> Alcotest.failf "fixture %s does not parse: %s" file m
+
+let analyze_fixture file = Engine.analyze [ parse_fixture file ]
+
+(* A rule's embedded positive Selftest snippet, parsed under its
+   fixture name. *)
+let parse_positive rule =
+  let case =
+    List.find (fun (c : Selftest.case) -> String.equal c.rule rule) Selftest.cases
+  in
+  let file = Selftest.fixture_basename ~polarity:`Pos rule in
+  match Source.parse_string ~file case.positive with
+  | Ok s -> s
+  | Error m -> Alcotest.failf "snippet %s does not parse: %s" file m
 
 let has_rule rule fs = List.exists (fun f -> String.equal f.Finding.rule rule) fs
 
@@ -34,60 +41,110 @@ let contains_sub hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* ------------------------------------------------------------------ *)
-(* Fixture files stay in sync with the embedded snippets               *)
-
-let test_fixtures_in_sync () =
-  List.iter
-    (fun (c : Selftest.case) ->
-      List.iter
-        (fun (polarity, snippet) ->
-          let file = Selftest.fixture_basename ~polarity c.rule in
-          let on_disk = read_file (Filename.concat fixture_dir file) in
-          if not (String.equal on_disk snippet) then
-            Alcotest.failf
-              "%s differs from the snippet embedded in Selftest.cases \
-               (regenerate with lint.exe --dump-fixtures)"
-              file)
-        [ (`Pos, c.positive); (`Neg, c.negative) ])
-    Selftest.cases
-
-(* ------------------------------------------------------------------ *)
-(* Each rule: positive fixture triggers, negative fixture is clean     *)
-
-let test_rule_fixtures () =
-  List.iter
-    (fun (c : Selftest.case) ->
-      let pos = analyze_fixture (Selftest.fixture_basename ~polarity:`Pos c.rule) in
-      if not (has_rule c.rule pos.Engine.findings) then
-        Alcotest.failf "positive fixture for %s produced no %s finding" c.rule
-          c.rule;
-      let neg = analyze_fixture (Selftest.fixture_basename ~polarity:`Neg c.rule) in
-      if has_rule c.rule neg.Engine.findings || has_rule c.rule neg.Engine.waived
-      then Alcotest.failf "negative fixture for %s is not clean" c.rule)
-    Selftest.cases
-
-(* Every rule in the registry has a selftest case, so the loop above
-   really covers the whole rule surface. *)
+(* Every rule in the registry has exactly one selftest case, in
+   registry order, so Selftest.run covers the whole rule surface. *)
 let test_registry_covered () =
+  Alcotest.(check (list string))
+    "Selftest.cases follows Rule.all"
+    (List.map (fun (r : Rule.t) -> r.name) Rule.all)
+    (List.map (fun (c : Selftest.case) -> c.rule) Selftest.cases)
+
+(* ------------------------------------------------------------------ *)
+(* The sink table drives every rule that looks at worker-domain        *)
+(* closures: for each entry, the domain-safety rules and cell-boundary *)
+(* fire, and the raises inference defers the closure instead of        *)
+(* charging its raise to the enclosing definition. The same snippets   *)
+(* with the callee renamed to List.iter trigger none of that.          *)
+
+let test_sink_table_drives_rules () =
+  let analyze callee =
+    let src =
+      Printf.sprintf
+        "exception Io_error of string
+         let hits = ref 0
+         let mutate () = %s (fun () -> hits := !hits + 1)
+         let capture () =
+        \  let acc = ref 0 in
+        \  %s (fun () -> acc := !acc + 1)
+         let leak () = %s (fun () -> raise (Io_error \"disk\"))
+"
+        callee callee callee
+    in
+    match Source.parse_string ~file:"sink_probe.ml" src with
+    | Ok s -> Engine.analyze [ s ]
+    | Error m -> Alcotest.failf "probe for %s does not parse: %s" callee m
+  in
+  let fires r rule = has_rule rule r.Engine.findings in
   List.iter
-    (fun (r : Rule.t) ->
-      if
-        not
-          (List.exists
-             (fun (c : Selftest.case) -> String.equal c.rule r.name)
-             Selftest.cases)
-      then Alcotest.failf "rule %s has no selftest case" r.name)
-    Rule.all
+    (fun (m, f) ->
+      let callee = Printf.sprintf "Th_exec.%s.%s" m f in
+      let r = analyze callee in
+      List.iter
+        (fun rule ->
+          if not (fires r rule) then
+            Alcotest.failf "%s: no %s finding" callee rule)
+        [ "pmap-mutable-global"; "escape-capture"; "cell-boundary" ];
+      if fires r "fault-barrier" then
+        Alcotest.failf "%s: the raises inference did not defer the closure"
+          callee)
+    Syntax.worker_sinks;
+  let r = analyze "List.iter" in
+  List.iter
+    (fun rule ->
+      if fires r rule then Alcotest.failf "List.iter: unexpected %s finding" rule)
+    [ "pmap-mutable-global"; "escape-capture"; "cell-boundary" ];
+  if not (fires r "fault-barrier") then
+    Alcotest.fail "List.iter: the closure's raise must reach fault-barrier"
+
+(* ------------------------------------------------------------------ *)
+(* CLI: every rule --list-rules prints is accepted by --explain        *)
+
+(* The analyzer binary is a declared dune dependency; `dune runtest`
+   runs tests from _build/default/test, `dune exec` from the root. *)
+let lint_exe =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/lint.exe"; "_build/default/bin/lint.exe" ]
+  with
+  | Some p -> p
+  | None -> "../bin/lint.exe"
+
+let test_listed_rules_explain () =
+  let ic = Unix.open_process_in (Filename.quote lint_exe ^ " --list-rules") in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let listed =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | name :: _ when name <> "" -> Some name
+        | _ -> None)
+      (lines [])
+  in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "lint.exe --list-rules failed");
+  Alcotest.(check (list string)) "--list-rules prints the catalog" Rule.names
+    listed;
+  List.iter
+    (fun name ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s --explain %s > /dev/null" (Filename.quote lint_exe)
+             (Filename.quote name))
+      in
+      if rc <> 0 then Alcotest.failf "--explain %s exited %d" name rc)
+    listed
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: the domain-safety rule flags a global mutated from a    *)
-(* Pool.pmap cell, and names the offending global                      *)
+(* scheduler cell, and names the offending global                      *)
 
 let test_pmap_acceptance () =
-  let r =
-    analyze_fixture (Selftest.fixture_basename ~polarity:`Pos "pmap-mutable-global")
-  in
+  let r = Engine.analyze [ parse_positive "pmap-mutable-global" ] in
   match
     List.filter
       (fun f -> String.equal f.Finding.rule "pmap-mutable-global")
@@ -95,7 +152,7 @@ let test_pmap_acceptance () =
   with
   | [] -> Alcotest.fail "no pmap-mutable-global finding on the mutation fixture"
   | fs ->
-      (* The closure passed to Pool.map both calls [bump] (transitive
+      (* The closure passed to Cell.make both calls [bump] (transitive
          mutation) and assigns [total] directly; the finding must point
          at the global by name so the report is actionable. *)
       if
@@ -134,9 +191,8 @@ let test_cross_library_two_hop () =
       "module Recorder = struct\n\
       \  let note k = String.length k\n\
        end\n\
-       let tainted pool xs =\n\
-      \  Th_exec.Pool.map pool (fun x -> Th_metrics.Recorder.note x) xs\n\
-       let clean pool xs = Th_exec.Pool.map pool (fun x -> Recorder.note x) xs\n"
+       let tainted x = Th_exec.Cell.make (fun () -> Th_metrics.Recorder.note x)\n\
+       let clean x = Th_exec.Cell.make (fun () -> Recorder.note x)\n"
   in
   let r = Engine.analyze [ metrics; bench ] in
   let pmap =
@@ -427,23 +483,11 @@ let prop_declared_never_widened =
 (* The fixpoint visits defs in canonical key order, so two analyses of
    the same sources must serialize byte-identically. *)
 let test_raises_determinism () =
-  let files =
-    [
-      "block_manager_guarded.ml";
-      "block_manager_unguarded.ml";
-      "fault_barrier_pos.ml";
-      "cell_boundary_pos.ml";
-      "pure_render_pos.ml";
-    ]
-  in
   let run () =
     let sources =
-      List.map
-        (fun file ->
-          match Source.parse_file (Filename.concat fixture_dir file) with
-          | Ok s -> s
-          | Error m -> Alcotest.failf "%s does not parse: %s" file m)
-        files
+      List.map parse_fixture
+        [ "block_manager_guarded.ml"; "block_manager_unguarded.ml" ]
+      @ List.map parse_positive [ "fault-barrier"; "cell-boundary"; "pure-render" ]
     in
     let r = Engine.analyze sources in
     Report.to_json ~waived:r.Engine.waived r.Engine.findings
@@ -476,12 +520,12 @@ let test_selftest_passes () =
 
 let suite =
   [
-    Alcotest.test_case "fixtures match embedded snippets" `Quick
-      test_fixtures_in_sync;
-    Alcotest.test_case "positive fixtures trigger, negatives clean" `Quick
-      test_rule_fixtures;
-    Alcotest.test_case "every rule has a fixture case" `Quick
+    Alcotest.test_case "every rule has a selftest case" `Quick
       test_registry_covered;
+    Alcotest.test_case "every worker sink drives the sink rules" `Quick
+      test_sink_table_drives_rules;
+    Alcotest.test_case "every listed rule has an explain text" `Quick
+      test_listed_rules_explain;
     Alcotest.test_case "pmap cell mutating a global is flagged by name" `Quick
       test_pmap_acceptance;
     Alcotest.test_case "two-hop cross-library mutation is flagged" `Quick

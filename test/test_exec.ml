@@ -1,9 +1,8 @@
-(* Tests of the domain-pool executor and of the harness determinism
-   contract: pooled execution returns results in submission order, so
-   rendering (and therefore CSV/report output) is byte-identical to a
-   serial run. *)
+(* Tests of the work-stealing executor and of the harness determinism
+   contract: scheduled execution returns results in submission order,
+   so rendering (and therefore CSV/report output) is byte-identical to
+   a serial run. *)
 
-module Pool = Th_exec.Pool
 module Scheduler = Th_exec.Scheduler
 module Cell = Th_exec.Cell
 module Plan = Th_exec.Plan
@@ -15,48 +14,44 @@ module Giraph_profiles = Th_workloads.Giraph_profiles
 module Giraph_driver = Th_workloads.Giraph_driver
 module Run_result = Th_workloads.Run_result
 
+let run_all t thunks = Scheduler.run_cells t (List.map Cell.make thunks)
+
 let test_results_in_submission_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
+  Scheduler.with_scheduler ~jobs:4 (fun t ->
       let thunks =
         List.init 32 (fun i () ->
             (* Stagger so later submissions tend to finish first. *)
             if i mod 4 = 0 then Unix.sleepf 0.002;
             i * i)
       in
-      let results = Pool.run pool thunks in
+      let results = run_all t thunks in
       Alcotest.(check (list int))
         "squares in order"
         (List.init 32 (fun i -> i * i))
         results)
 
 let test_exception_propagates () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.check_raises "thunk exception re-raised" (Failure "boom")
+  Scheduler.with_scheduler ~jobs:4 (fun t ->
+      Alcotest.check_raises "cell exception re-raised" (Failure "boom")
         (fun () ->
           ignore
-            (Pool.run pool
+            (run_all t
                [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) ]));
-      (* The pool survives a failing batch. *)
+      (* The scheduler survives a failing batch. *)
       Alcotest.(check (list int))
-        "pool reusable after failure" [ 7 ]
-        (Pool.run pool [ (fun () -> 7) ]))
+        "scheduler reusable after failure" [ 7 ]
+        (run_all t [ (fun () -> 7) ]))
 
-let test_serial_pool () =
-  Pool.with_pool ~jobs:1 (fun pool ->
+let test_serial_scheduler () =
+  Scheduler.with_scheduler ~jobs:1 (fun t ->
       Alcotest.(check (list int))
         "jobs=1 runs in the calling domain" [ 1; 2; 3 ]
-        (Pool.run pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]))
-
-let test_map () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.(check (list int))
-        "map keeps order" [ 2; 4; 6; 8 ]
-        (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3; 4 ]))
+        (run_all t [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]))
 
 let test_invalid_jobs () =
   Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
-      ignore (Pool.create ~jobs:0 ()))
+    (Invalid_argument "Scheduler.create: jobs must be >= 1") (fun () ->
+      ignore (Scheduler.create ~jobs:0 ()))
 
 let test_wall_clock_monotonic () =
   let t0 = Wall.now_s () in
@@ -66,7 +61,7 @@ let test_wall_clock_monotonic () =
 
 (* The determinism contract end to end: the same Giraph cell, with a
    fixed seed, produces byte-identical CSV whether computed serially or
-   on a 4-domain pool. *)
+   on a 4-domain scheduler. *)
 let giraph_cell seed () =
   let p = Giraph_profiles.bfs in
   let s =
@@ -83,14 +78,14 @@ let csv_of_results results =
          Csv.breakdown_row ~label:r.Run_result.label r.Run_result.breakdown)
        results)
 
-let test_pooled_csv_identical () =
+let test_scheduled_csv_identical () =
   let seed = 42L in
   let cells = [ giraph_cell seed; giraph_cell seed; giraph_cell seed ] in
   let serial = csv_of_results (List.map (fun f -> f ()) cells) in
-  let pooled =
-    Pool.with_pool ~jobs:4 (fun pool -> csv_of_results (Pool.run pool cells))
+  let scheduled =
+    Scheduler.with_scheduler ~jobs:4 (fun t -> csv_of_results (run_all t cells))
   in
-  Alcotest.(check string) "serial and pooled CSV bytes" serial pooled
+  Alcotest.(check string) "serial and scheduled CSV bytes" serial scheduled
 
 (* ------------------------------------------------------------------ *)
 (* Deque: owner pops the bottom (LIFO), thieves steal the top (FIFO).  *)
@@ -148,7 +143,7 @@ let test_pin_out_of_range () =
             (Scheduler.run_cells
                ~pin:(fun _ -> 2)
                t
-               [ Cell.of_thunk (fun () -> 1) ])))
+               [ Cell.make (fun () -> 1) ])))
 
 (* ------------------------------------------------------------------ *)
 (* Plan: futures, grouped regrouping, read-before-run.                 *)
@@ -240,13 +235,12 @@ let suite =
     Alcotest.test_case "results in submission order" `Quick
       test_results_in_submission_order;
     Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
-    Alcotest.test_case "jobs=1 serial path" `Quick test_serial_pool;
-    Alcotest.test_case "map keeps order" `Quick test_map;
+    Alcotest.test_case "jobs=1 serial path" `Quick test_serial_scheduler;
     Alcotest.test_case "jobs=0 rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "wall clock is monotonic" `Quick
       test_wall_clock_monotonic;
     Alcotest.test_case "pooled CSV identical to serial" `Slow
-      test_pooled_csv_identical;
+      test_scheduled_csv_identical;
     Alcotest.test_case "deque LIFO owner / FIFO thief" `Quick
       test_deque_lifo_fifo;
     Alcotest.test_case "pinned batch forces steals" `Quick test_forced_steals;

@@ -78,7 +78,7 @@ let test_csv_breakdown_row () =
     (Csv.breakdown_row ~label:"dead" None)
 
 (* ------------------------------------------------------------------ *)
-(* Bench_log: schema-2 merge-update and schema-1 compatibility.        *)
+(* Bench_log: write-only, one run per file.                            *)
 
 module Bench_log = Th_metrics.Bench_log
 
@@ -91,102 +91,44 @@ let section name cell_wall_s =
     render_wall_s = 0.25;
   }
 
-let log sections =
-  { Bench_log.jobs = 2; sections; total_wall_s = 10.0; total_cpu_s = 19.0 }
+let log sections = { Bench_log.jobs = 2; sections; total_wall_s = 10.0 }
 
-let with_tmp_json f =
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let contains hay needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A second write replaces the first: the file describes one run, and
+   still carries the top-level fields the CI speedup gate reads. *)
+let test_bench_log_write_replaces () =
   let path = Filename.temp_file "bench_log_test" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let test_bench_log_merge_update () =
-  with_tmp_json (fun path ->
-      (* First run records fig7 and soak... *)
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
       Bench_log.write ~path (log [ section "fig7" 1.0; section "soak" 2.0 ]);
-      (* ...a partial re-run refreshes soak and adds fig8: fig7 must
-         survive (the clobbering this layer replaced). *)
-      Bench_log.write ~path (log [ section "soak" 5.0; section "fig8" 3.0 ]);
-      let names = List.map (fun s -> s.Bench_log.name) in
-      let merged = Bench_log.read_sections path in
-      Alcotest.(check (list string))
-        "kept sections in place, new ones appended"
-        [ "fig7"; "soak"; "fig8" ] (names merged);
-      let soak = List.nth merged 1 in
-      Alcotest.(check (float 1e-6))
-        "re-run section updated in place" 5.0 soak.Bench_log.cell_wall_s)
-
-let test_bench_log_v1_compat () =
-  with_tmp_json (fun path ->
-      let oc = open_out path in
-      output_string oc
-        {|{
-  "schema": "teraheap-bench-harness/1",
-  "jobs": 3,
-  "total_wall_s": 2.0,
-  "total_cpu_s": 2.0,
-  "sections": [
-    { "name": "fig7", "wall_s": 1.5, "cpu_s": 1.4 }
-  ]
-}|};
-      close_out oc;
-      match Bench_log.read_sections path with
-      | [ s ] ->
-          Alcotest.(check string) "name" "fig7" s.Bench_log.name;
-          Alcotest.(check int) "jobs falls back to the top level" 3
-            s.Bench_log.jobs;
-          Alcotest.(check (float 1e-6))
-            "v1 wall_s lands in cell_wall_s" 1.5 s.Bench_log.cell_wall_s;
-          Alcotest.(check (float 1e-6)) "no render time in v1" 0.0
-            s.Bench_log.render_wall_s
-      | other ->
-          Alcotest.failf "expected one section, got %d" (List.length other))
+      let second = log [ section "fig8" 3.0 ] in
+      Bench_log.write ~path second;
+      let written = read_file path in
+      Alcotest.(check string) "file holds the last run only"
+        (Bench_log.to_json second) written;
+      List.iter
+        (fun key ->
+          if not (contains written (Printf.sprintf "%S:" key)) then
+            Alcotest.failf "BENCH_harness.json lacks %s" key)
+        [ "speedup_vs_serial_measured"; "serial_equiv_s"; "total_wall_s" ])
 
 let test_bench_log_speedups () =
   let t = log [ section "a" 20.0; section "b" 9.5 ] in
   (* serial equivalent = 20 + 9.5 + 2 * 0.25 = 30; wall = 10. *)
   Alcotest.(check (float 1e-6))
     "measured speedup = serial-equivalent / wall" 3.0
-    (Bench_log.speedup_vs_serial_measured t);
-  Alcotest.(check (float 1e-6))
-    "estimated speedup = cpu / wall" 1.9
-    (Bench_log.speedup_vs_serial_est t)
-
-let test_bench_log_unparsable () =
-  with_tmp_json (fun path ->
-      let oc = open_out path in
-      output_string oc "not json at all {";
-      close_out oc;
-      Alcotest.(check int)
-        "unparsable file yields no sections" 0
-        (List.length (Bench_log.read_sections path));
-      (* The next write starts fresh instead of failing. *)
-      Bench_log.write ~path (log [ section "fig7" 1.0 ]);
-      Alcotest.(check int) "write recovers" 1
-        (List.length (Bench_log.read_sections path)))
-
-let test_bench_log_parse_sections_total () =
-  (* Well-formed document: sections come back under Ok. *)
-  (match
-     Bench_log.parse_sections
-       {|{ "jobs": 2, "sections": [ { "name": "fig7", "wall_s": 1.0 } ] }|}
-   with
-  | Ok [ s ] -> Alcotest.(check string) "name" "fig7" s.Bench_log.name
-  | Ok other -> Alcotest.failf "expected one section, got %d" (List.length other)
-  | Error e -> Alcotest.failf "well-formed document rejected: %s" e);
-  (* No sections is Ok [], not an error. *)
-  (match Bench_log.parse_sections {|{ "jobs": 2 }|} with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "sections invented out of nothing"
-  | Error e -> Alcotest.failf "sectionless document rejected: %s" e);
-  (* Malformed input returns a positioned Error — never raises. *)
-  match Bench_log.parse_sections {|{ "jobs": |} with
-  | Ok _ -> Alcotest.fail "malformed document accepted"
-  | Error e ->
-      Alcotest.(check bool) "error names an offset" true
-        (let rec has i =
-           i + 6 <= String.length e
-           && (String.sub e i 6 = "offset" || has (i + 1))
-         in
-         has 0)
+    (Bench_log.speedup_vs_serial_measured t)
 
 let suite =
   [
@@ -200,14 +142,8 @@ let suite =
     Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
     Alcotest.test_case "csv rendering" `Quick test_csv_rendering;
     Alcotest.test_case "csv breakdown rows" `Quick test_csv_breakdown_row;
-    Alcotest.test_case "bench log merge-updates by section" `Quick
-      test_bench_log_merge_update;
-    Alcotest.test_case "bench log reads schema-1 files" `Quick
-      test_bench_log_v1_compat;
+    Alcotest.test_case "bench log write replaces the file" `Quick
+      test_bench_log_write_replaces;
     Alcotest.test_case "bench log speedup arithmetic" `Quick
       test_bench_log_speedups;
-    Alcotest.test_case "bench log survives unparsable files" `Quick
-      test_bench_log_unparsable;
-    Alcotest.test_case "bench log parse_sections is total" `Quick
-      test_bench_log_parse_sections_total;
   ]
