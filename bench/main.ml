@@ -148,39 +148,70 @@ let () =
   (match seed with
   | Some s -> Runners.giraph_seed := Some (Int64.of_int s)
   | None -> ());
+  (* Sections that time host code with bechamel run after the shared
+     batch, serially on this domain, with no worker domain alive:
+     bechamel compacts the heap before each test until its live-word
+     count repeats, which never happens while another domain allocates. *)
+  let solo (name, _, _) = name = "micro" in
   let sched = Scheduler.create ~jobs () in
   let wall0 = Wall.now_s () in
-  let log =
+  let log, stats =
     Fun.protect
       ~finally:(fun () -> Scheduler.shutdown sched)
       (fun () ->
         (* Build every requested plan first, then submit the cells of
-           all sections as one global batch: the scheduler sees the
-           whole cell population at once instead of 2–4 cells per
+           all shared sections as one global batch: the scheduler sees
+           the whole cell population at once instead of 2–4 cells per
            section. *)
         let plans = List.map (fun (n, d, mk) -> (n, d, mk ())) selected in
-        let batch = List.concat_map (fun (_, _, s) -> Plan.cells s) plans in
-        ignore (Scheduler.run_cells sched batch);
-        let stats = Scheduler.last_batch sched in
+        let indexed = List.mapi (fun i p -> (i, p)) plans in
+        let shared, solos =
+          List.partition (fun (_, p) -> not (solo p)) indexed
+        in
+        (* Per-section summed cell wall seconds, in request order, from
+           whichever batch ran the section. *)
+        let cell_walls = Array.make (List.length plans) 0.0 in
+        let run_batch sched sections =
+          ignore
+            (Scheduler.run_cells sched
+               (List.concat_map (fun (_, (_, _, s)) -> Plan.cells s) sections));
+          let st = Scheduler.last_batch sched in
+          ignore
+            (List.fold_left
+               (fun offset (i, (_, _, s)) ->
+                 let count = List.length (Plan.cells s) in
+                 cell_walls.(i) <-
+                   sum_slice st.Scheduler.cell_wall_s ~offset ~count;
+                 offset + count)
+               0 sections);
+          st
+        in
+        let stats = run_batch sched shared in
+        Scheduler.shutdown sched;
+        let solo_stats =
+          Scheduler.with_scheduler ~jobs:1 (fun serial ->
+              run_batch serial solos)
+        in
+        let stats =
+          {
+            stats with
+            Scheduler.cells = stats.Scheduler.cells + solo_stats.Scheduler.cells;
+            chunks = stats.Scheduler.chunks + solo_stats.Scheduler.chunks;
+          }
+        in
         (* Renders run serially in request order; each reads only its
            own section's futures. *)
-        let offset = ref 0 in
         let timed =
-          List.map
-            (fun (n, d, s) ->
-              let count = List.length (Plan.cells s) in
-              let cell_wall_s =
-                sum_slice stats.Scheduler.cell_wall_s ~offset:!offset ~count
-              in
-              offset := !offset + count;
+          List.mapi
+            (fun i ((n, d, s) as p) ->
               Printf.printf "\n##### %s — %s #####\n%!" n d;
               let r0 = Wall.now_s () in
               Plan.render s;
               {
                 Bench_log.name = n;
-                jobs;
-                cells = count;
-                cell_wall_s;
+                jobs = (if solo p then 1 else jobs);
+                cells = List.length (Plan.cells s);
+                cell_wall_s = cell_walls.(i);
                 render_wall_s = Wall.elapsed_s ~since:r0;
               })
             plans
@@ -192,7 +223,6 @@ let () =
           },
           stats ))
   in
-  let log, stats = log in
   let json_path =
     match Sys.getenv_opt "TH_BENCH_JSON" with
     | Some p -> p

@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the core data structures: H2 card-table
    operations, region allocation/reclamation, dependency propagation,
-   closure traversal, serializer throughput. One Test.make per table. *)
+   closure traversal, the remembered-set scan, the page cache and the
+   mutator's allocation paths. One Test.make per table. *)
 
 open Bechamel
 open Toolkit
@@ -126,9 +127,59 @@ let rset_benchmarks =
       ~dirty:256;
   ]
 
+module Page_cache = Th_device.Page_cache
+module Runtime = Th_psgc.Runtime
+
+(* The DR2 page cache every mmap'd H2 access goes through. A hit touches
+   one resident page; a miss faults a page two past the previous one (a
+   random read, never a readahead continuation) into a full cache, so it
+   also evicts the least recently used page. *)
+let make_cache () =
+  let clock = Clock.create () in
+  let device = Th_device.Device.create clock Th_device.Device.Nvme_ssd in
+  Page_cache.create ~capacity_bytes:(Size.mib 1) clock device
+
+let test_cache_hit =
+  let cache = make_cache () in
+  Page_cache.access cache ~cat:Clock.Other ~write:false ~offset:0 ~len:64;
+  Test.make ~name:"page cache hit (resident page)"
+    (Staged.stage (fun () ->
+         Page_cache.access cache ~cat:Clock.Other ~write:false ~offset:0
+           ~len:64))
+
+let test_cache_miss =
+  let cache = make_cache () in
+  let page = ref 0 in
+  Test.make ~name:"page cache miss (cold page)"
+    (Staged.stage (fun () ->
+         page := !page + 2;
+         Page_cache.access cache ~cat:Clock.Other ~write:false
+           ~offset:(!page * Page_cache.page_size cache)
+           ~len:64))
+
+(* A 4 KiB dead-on-arrival temporary (the size of stage garbage), as a
+   dropped [Temp] record and through [Runtime.alloc_dead]. Both include
+   their amortised share of the minor GCs they trigger. *)
+let make_runtime () =
+  let clock = Clock.create () in
+  let heap = H1_heap.create ~heap_bytes:(Size.mib 64) () in
+  Runtime.create ~clock ~costs:Costs.default ~heap ()
+
+let test_alloc_temp_record =
+  let rt = make_runtime () in
+  Test.make ~name:"alloc Temp record"
+    (Staged.stage (fun () ->
+         ignore (Runtime.alloc rt ~kind:Obj_.Temp ~size:(Size.kib 4) ())))
+
+let test_alloc_dead =
+  let rt = make_runtime () in
+  Test.make ~name:"alloc_dead"
+    (Staged.stage (fun () -> Runtime.alloc_dead rt ~size:(Size.kib 4)))
+
 let benchmarks =
   [ test_card_mark; test_card_scan; test_region_cycle; test_closure; test_h1_cards ]
   @ rset_benchmarks
+  @ [ test_cache_hit; test_cache_miss; test_alloc_temp_record; test_alloc_dead ]
 
 (* One cell per bechamel test: each cell runs its benchmark and returns
    name-sorted [(name, estimate option)] rows; the render only prints. *)

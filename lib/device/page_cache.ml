@@ -1,10 +1,22 @@
 type stats = { hits : int; misses : int; evictions : int; writebacks : int }
 
+(* The page table is keyed by page number with a non-allocating hash:
+   the polymorphic [Hashtbl.hash] and [find_opt]'s [Some] cell cost more
+   than the rest of a hit. *)
+module Page_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = p land max_int
+end)
+
+(* LRU list node. The list is circular through a sentinel, so links are
+   never [None] and relinking allocates nothing. *)
 type node = {
   page : int;
   mutable dirty : bool;
-  mutable prev : node option;
-  mutable next : node option;
+  mutable prev : node;
+  mutable next : node;
 }
 
 type t = {
@@ -12,15 +24,19 @@ type t = {
   clock : Th_sim.Clock.t;
   page_size : int;
   capacity : int;  (* pages *)
-  table : (int, node) Hashtbl.t;
-  mutable head : node option;  (* most recently used *)
-  mutable tail : node option;  (* least recently used *)
+  table : node Page_table.t;
+  lru : node;
+      (* sentinel: [lru.next] is the most recently used page, [lru.prev]
+         the least recently used; [lru == lru.next] when empty *)
   mutable resident : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable writebacks : int;
   mutable last_miss_page : int;  (* readahead stream detection *)
+  (* The run of consecutive missing pages of the current [access]. *)
+  mutable miss_run : int;
+  mutable run_start : int;
 }
 
 let create ?page_size ~capacity_bytes clock device =
@@ -29,20 +45,22 @@ let create ?page_size ~capacity_bytes clock device =
   in
   if page_size <= 0 then invalid_arg "Page_cache.create: page_size";
   let capacity = max 1 (capacity_bytes / page_size) in
+  let rec lru = { page = -1; dirty = false; prev = lru; next = lru } in
   {
     device;
     clock;
     page_size;
     capacity;
-    table = Hashtbl.create 4096;
-    head = None;
-    tail = None;
+    table = Page_table.create 4096;
+    lru;
     resident = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
     writebacks = 0;
     last_miss_page = min_int;
+    miss_run = 0;
+    run_start = 0;
   }
 
 let page_size t = t.page_size
@@ -51,49 +69,44 @@ let device t = t.device
 
 let capacity_pages t = t.capacity
 
-(* Doubly-linked LRU list maintenance. *)
+(* Circular LRU list maintenance. *)
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+  let head = t.lru.next in
+  n.prev <- t.lru;
+  n.next <- head;
+  head.prev <- n;
+  t.lru.next <- n
 
 let touch_lru t n =
-  (* [t.head != Some n] was always true — physical inequality against a
-     freshly allocated [Some] cell — so every touch relinked. Compare
-     the payload nodes physically instead. *)
-  let already_front = match t.head with Some h -> h == n | None -> false in
-  if not already_front then begin
-    unlink t n;
+  if t.lru.next != n then begin
+    unlink n;
     push_front t n
   end
 
 let evict_one t ~cat =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table n.page;
-      t.resident <- t.resident - 1;
-      t.evictions <- t.evictions + 1;
-      if n.dirty then begin
-        t.writebacks <- t.writebacks + 1;
-        Device.write t.device ~cat ~random:true t.page_size
-      end
+  let n = t.lru.prev in
+  if n != t.lru then begin
+    unlink n;
+    Page_table.remove t.table n.page;
+    t.resident <- t.resident - 1;
+    t.evictions <- t.evictions + 1;
+    if n.dirty then begin
+      t.writebacks <- t.writebacks + 1;
+      Device.write t.device ~cat ~random:true t.page_size
+    end
+  end
 
 let insert t ~cat page ~dirty =
   while t.resident >= t.capacity do
     evict_one t ~cat
   done;
-  let n = { page; dirty; prev = None; next = None } in
-  Hashtbl.replace t.table page n;
+  let n = { page; dirty; prev = t.lru; next = t.lru } in
+  Page_table.replace t.table page n;
   push_front t n;
   t.resident <- t.resident + 1
 
@@ -101,54 +114,55 @@ let insert t ~cat page ~dirty =
    accounted as mutator compute, so only a small residual is charged. *)
 let hit_cost_ns _t = 10.0
 
+(* Charge the pending run of consecutive misses as one device read. A
+   run continuing the previous run's stream is charged at transfer
+   bandwidth only: OS readahead has already queued it. *)
+let flush_miss_run t ~cat ~checked =
+  if t.miss_run > 0 then begin
+    let bytes = t.miss_run * t.page_size in
+    if t.run_start = t.last_miss_page + 1 then
+      (* Mutator-side streaming faults overlap with computation
+         (readahead prefetches while the application works); GC-side
+         scans stall the collector. *)
+      let overlap =
+        match cat with Th_sim.Clock.Other -> 0.35 | _ -> 1.0
+      in
+      Device.read_continuation t.device ~cat ~overlap ~checked bytes
+    else Device.read t.device ~cat ~random:(t.miss_run = 1) ~checked bytes;
+    t.last_miss_page <- t.run_start + t.miss_run - 1;
+    t.miss_run <- 0
+  end
+[@@th.raises "Io_error(checked)"]
+
 let access ?(checked = false) t ~cat ~write ~offset ~len =
+  (* A checked read that raised left its run pending; every access
+     starts a fresh one. *)
+  t.miss_run <- 0;
   if len > 0 then begin
     let first = offset / t.page_size in
     let last = (offset + len - 1) / t.page_size in
-    (* Accumulate runs of consecutive misses so sequential faults are
-       charged as one streaming read. A miss continuing the previous
-       call's stream is charged at transfer bandwidth only: OS readahead
-       has already queued it. *)
-    let miss_run = ref 0 in
-    let run_start = ref 0 in
-    let flush_miss_run () =
-      if !miss_run > 0 then begin
-        let bytes = !miss_run * t.page_size in
-        if !run_start = t.last_miss_page + 1 then
-          (* Mutator-side streaming faults overlap with computation
-             (readahead prefetches while the application works); GC-side
-             scans stall the collector. *)
-          let overlap =
-            match cat with Th_sim.Clock.Other -> 0.35 | _ -> 1.0
-          in
-          Device.read_continuation t.device ~cat ~overlap ~checked bytes
-        else Device.read t.device ~cat ~random:(!miss_run = 1) ~checked bytes;
-        t.last_miss_page <- !run_start + !miss_run - 1;
-        miss_run := 0
-      end
-    in
     for page = first to last do
-      match Hashtbl.find_opt t.table page with
-      | Some n ->
-          flush_miss_run ();
+      match Page_table.find t.table page with
+      | n ->
+          flush_miss_run t ~cat ~checked;
           t.hits <- t.hits + 1;
           if write then n.dirty <- true;
           touch_lru t n;
           Th_sim.Clock.advance t.clock cat (hit_cost_ns t)
-      | None ->
+      | exception Not_found ->
           t.misses <- t.misses + 1;
           let whole_page_write =
             write && offset <= page * t.page_size
             && offset + len >= (page + 1) * t.page_size
           in
           if not whole_page_write then begin
-            if !miss_run = 0 then run_start := page;
-            miss_run := !miss_run + 1
+            if t.miss_run = 0 then t.run_start <- page;
+            t.miss_run <- t.miss_run + 1
           end
-          else flush_miss_run ();
+          else flush_miss_run t ~cat ~checked;
           insert t ~cat page ~dirty:write
     done;
-    flush_miss_run ()
+    flush_miss_run t ~cat ~checked
   end
 [@@th.raises "Io_error(checked)"]
 
@@ -156,11 +170,13 @@ let invalidate_range t ~offset ~len =
   if len > 0 then begin
     let first = offset / t.page_size in
     let last = (offset + len - 1) / t.page_size in
+    (* Most pages of a freed region are not resident: [find_opt] makes
+       that common case cheaper than raising [Not_found]. *)
     for page = first to last do
-      match Hashtbl.find_opt t.table page with
+      match Page_table.find_opt t.table page with
       | Some n ->
-          unlink t n;
-          Hashtbl.remove t.table page;
+          unlink n;
+          Page_table.remove t.table page;
           t.resident <- t.resident - 1
       | None -> ()
     done
@@ -170,7 +186,13 @@ let flush t ~cat =
   let dirty = ref 0 in
   (* Order-insensitive: only counts and clears each page's dirty flag.
      th-lint: allow hashtbl-order *)
-  Hashtbl.iter (fun _ n -> if n.dirty then begin incr dirty; n.dirty <- false end) t.table;
+  Page_table.iter
+    (fun _ n ->
+      if n.dirty then begin
+        incr dirty;
+        n.dirty <- false
+      end)
+    t.table;
   if !dirty > 0 then begin
     (match Th_sim.Clock.tracer t.clock with
     | None -> ()

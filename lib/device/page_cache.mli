@@ -4,7 +4,13 @@
     of DRAM in the paper's configurations (Tables 3 and 4). Hits cost DRAM
     time; misses fault the page in from the device; evicting a dirty page
     writes it back. Runs of consecutive missing pages are charged as one
-    sequential device read, modelling OS readahead. *)
+    sequential device read, modelling OS readahead.
+
+    Representation: an int-keyed page table (non-allocating hash) of
+    nodes on a circular LRU list through a sentinel. A hit allocates
+    nothing: no [option] links, no [Some] cells, no per-access closure or
+    refs; the current miss run lives in the cache itself and is reset at
+    the start of every {!access}. Only a miss allocates (its node). *)
 
 type stats = {
   hits : int;
@@ -35,7 +41,14 @@ val access :
     the fetch (write-allocate without read). With [checked] (default
     false), a miss whose device read exhausts its fault retries raises
     {!Io_retry.Io_error}; callers recover by recomputing the lost data.
-    Unchecked accesses never fail (the kernel fault path waits instead). *)
+    The pages of the failed run stay resident, and the next access starts
+    a fresh miss run. Unchecked accesses never fail (the kernel fault path
+    waits instead).
+
+    Charges happen page by page in address order: each hit pays its DRAM
+    residual after the pending miss run is charged; a whole-page write
+    miss ends the pending run before its page is inserted; eviction
+    writebacks happen at insertion. *)
 
 val invalidate_range : t -> offset:int -> len:int -> unit
 (** Drop pages without writeback; used when the backing region is freed

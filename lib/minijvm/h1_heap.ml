@@ -15,9 +15,11 @@ type t = {
   cards : Card_table.t;
   mutable next_id : int;
   tenure_threshold : int;
+  mutable dead_young_bytes : int;
+  mutable dead_young_count : int;
 }
 
-type alloc_result = Allocated of Obj_.t | Eden_full | Old_full
+type 'a attempt = Allocated of 'a | Eden_full | Old_full
 
 let create ?(new_ratio = 2) ?(survivor_ratio = 8) ?(tenure_threshold = 3)
     ?card_size ~heap_bytes () =
@@ -40,6 +42,8 @@ let create ?(new_ratio = 2) ?(survivor_ratio = 8) ?(tenure_threshold = 3)
     cards = Card_table.create ?card_size ~capacity_bytes:old_capacity ();
     next_id = 0;
     tenure_threshold;
+    dead_young_bytes = 0;
+    dead_young_count = 0;
   }
 
 let heap_bytes t = t.eden_capacity + (2 * t.survivor_capacity) + t.old_capacity
@@ -67,11 +71,16 @@ let push_old t (o : Obj_.t) =
   Vec.push t.old_objs o;
   Card_table.note_object_start t.cards ~addr:o.Obj_.addr
 
+(* [Obj_.total_size] of an object with a [size]-byte payload. *)
+let total_size_of size = size + Obj_.header_bytes + Obj_.label_word_bytes
+
+let pretenured t ~size = total_size_of size > t.eden_capacity / 2
+
 let alloc t ~kind ~size =
   let id = fresh_id t in
   let o = Obj_.create ~kind ~id ~size () in
   let bytes = Obj_.total_size o in
-  if bytes > t.eden_capacity / 2 then begin
+  if pretenured t ~size then begin
     (* PS allocates large objects directly in the old generation. *)
     match old_alloc_addr t bytes with
     | None -> Old_full
@@ -87,6 +96,24 @@ let alloc t ~kind ~size =
     Vec.push t.eden o;
     Allocated o
   end
+
+let alloc_dead t ~size =
+  if pretenured t ~size then
+    invalid_arg "H1_heap.alloc_dead: size takes the old-generation path";
+  ignore (fresh_id t : int);
+  let bytes = total_size_of size in
+  if t.eden_used + bytes > t.eden_capacity then Eden_full
+  else begin
+    t.eden_used <- t.eden_used + bytes;
+    t.dead_young_bytes <- t.dead_young_bytes + bytes;
+    t.dead_young_count <- t.dead_young_count + 1;
+    Allocated ()
+  end
+
+let free_dead_young t =
+  t.eden_used <- t.eden_used - t.dead_young_bytes;
+  t.dead_young_bytes <- 0;
+  t.dead_young_count <- 0
 
 let promote t o ~addr =
   let bytes = Obj_.total_size o in

@@ -5,7 +5,16 @@
     the HotSpot defaults ([NewRatio] = 2, [SurvivorRatio] = 8) unless
     overridden. The record is transparent: the collector ({!Th_psgc})
     manipulates spaces directly; invariant-sensitive moves go through the
-    helpers below. *)
+    helpers below.
+
+    Eden holds two kinds of contents. Objects that may be referenced are
+    {!Th_objmodel.Heap_object.t} records in the [eden] vector.
+    Dead-on-arrival allocations ({!alloc_dead}: serializer buffers and
+    stage garbage that nothing ever references) are not materialised:
+    they only add to [eden_used] and to the dead-young counters, which
+    the next young-generation sweep releases in one step
+    ({!free_dead_young}). At every safepoint
+    [eden_used = Σ total_size(eden records) + dead_young_bytes]. *)
 
 type t = {
   eden_capacity : int;
@@ -23,12 +32,18 @@ type t = {
   cards : Card_table.t;
   mutable next_id : int;
   tenure_threshold : int;  (** minor GCs survived before promotion *)
+  mutable dead_young_bytes : int;
+      (** eden bytes of dead-on-arrival allocations since the last
+          young-generation sweep (part of [eden_used]) *)
+  mutable dead_young_count : int;
+      (** number of those allocations, for the heap census *)
 }
 
-type alloc_result =
-  | Allocated of Th_objmodel.Heap_object.t
+type 'a attempt =
+  | Allocated of 'a
   | Eden_full  (** caller must run a minor GC and retry *)
   | Old_full  (** large-object path exhausted; caller must run a major GC *)
+(** The outcome of one allocation attempt. *)
 
 val create :
   ?new_ratio:int ->
@@ -44,9 +59,31 @@ val heap_bytes : t -> int
 
 val young_bytes : t -> int
 
-val alloc : t -> kind:Th_objmodel.Heap_object.kind -> size:int -> alloc_result
-(** Bump allocation in eden. Objects larger than half of eden go directly
-    to the old generation, as PS does. *)
+val alloc :
+  t -> kind:Th_objmodel.Heap_object.kind -> size:int ->
+  Th_objmodel.Heap_object.t attempt
+(** Bump allocation in eden. Objects larger than half of eden
+    ({!pretenured}) go directly to the old generation, as PS does. *)
+
+val pretenured : t -> size:int -> bool
+(** Whether an object with a [size]-byte payload is larger than half of
+    eden once its header and label word are added, so that {!alloc}
+    places it in the old generation. *)
+
+val alloc_dead : t -> size:int -> unit attempt
+(** [alloc_dead t ~size] accounts an eden allocation of a [size]-byte
+    payload that nothing will ever reference, without building a record:
+    it consumes an object id (before the eden-full check, as {!alloc}
+    does, so a failed attempt burns one too) and, when the object fits,
+    adds its total size to [eden_used] and the dead-young counters. It
+    never returns [Old_full]. Raises [Invalid_argument] when the total
+    size exceeds half of eden ({!pretenured}): only a record in
+    [old_objs] lets a major GC free such an object. *)
+
+val free_dead_young : t -> unit
+(** Release every dead-on-arrival allocation: subtract [dead_young_bytes]
+    from [eden_used] and zero both counters. The minor-GC sweep and the
+    major-GC young sweep call it where they free dead eden records. *)
 
 val old_alloc_addr : t -> int -> int option
 (** [old_alloc_addr t bytes] bumps the old-generation pointer, returning

@@ -14,17 +14,20 @@ let kind_name = function
 let of_runtime (rt : Rt.t) =
   let heap = rt.Rt.heap in
   let acc : (Obj_.kind, int * int) Hashtbl.t = Hashtbl.create 8 in
-  let visit (o : Obj_.t) =
-    let count, bytes =
-      match Hashtbl.find_opt acc o.Obj_.kind with
-      | Some (c, b) -> (c, b)
-      | None -> (0, 0)
+  let add kind ~count ~bytes =
+    let c, b =
+      match Hashtbl.find_opt acc kind with Some cb -> cb | None -> (0, 0)
     in
-    Hashtbl.replace acc o.Obj_.kind (count + 1, bytes + Obj_.total_size o)
+    Hashtbl.replace acc kind (c + count, b + bytes)
   in
+  let visit (o : Obj_.t) = add o.Obj_.kind ~count:1 ~bytes:(Obj_.total_size o) in
   Vec.iter visit heap.H1_heap.eden;
   Vec.iter visit heap.H1_heap.survivor;
   Vec.iter visit heap.H1_heap.old_objs;
+  (* Dead-on-arrival allocations are [Temp] objects without records. *)
+  if heap.H1_heap.dead_young_count > 0 then
+    add Obj_.Temp ~count:heap.H1_heap.dead_young_count
+      ~bytes:heap.H1_heap.dead_young_bytes;
   (* Order-insensitive: the fold only accumulates; the sort below fixes
      the order, with the kind name breaking byte-count ties so the result
      never depends on hash iteration. th-lint: allow hashtbl-order *)

@@ -212,7 +212,9 @@ let minor_gc (rt : Rt.t) =
       end
       else H1_heap.to_survivor heap o)
     live_young;
-  (* Sweep dead young objects and rebuild the space vectors. *)
+  (* Sweep dead young objects and rebuild the space vectors. Dead-on-
+     arrival allocations have no records; they are released in one step
+     (unlabelled, so [note_death] would ignore them anyway). *)
   Vec.iter
     (fun (o : Obj_.t) ->
       if o.Obj_.loc = Obj_.Eden then begin
@@ -221,6 +223,7 @@ let minor_gc (rt : Rt.t) =
       end)
     heap.H1_heap.eden;
   Vec.clear heap.H1_heap.eden;
+  H1_heap.free_dead_young heap;
   Vec.filter_in_place
     (fun (o : Obj_.t) ->
       if o.Obj_.loc = Obj_.Survivor && o.Obj_.mark <> epoch then begin
@@ -728,7 +731,7 @@ let major_gc (rt : Rt.t) =
     o.Obj_.age <- heap.H1_heap.tenure_threshold
   in
   Vec.iter tenure promoted_young;
-  (* Sweep the young spaces. *)
+  (* Sweep the young spaces, dead-on-arrival allocations included. *)
   Vec.iter
     (fun (o : Obj_.t) ->
       if o.Obj_.loc = Obj_.Eden then begin
@@ -737,6 +740,7 @@ let major_gc (rt : Rt.t) =
       end)
     heap.H1_heap.eden;
   Vec.clear heap.H1_heap.eden;
+  H1_heap.free_dead_young heap;
   Vec.iter
     (fun (o : Obj_.t) ->
       if o.Obj_.loc = Obj_.Survivor then begin

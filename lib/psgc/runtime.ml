@@ -46,52 +46,66 @@ let g1_humongous (t : t) kind size =
   && size + Obj_.header_bytes + Obj_.label_word_bytes
      > t.Rt.g1_region_size / 2
 
+(* The retry sequence shared by [alloc] and [alloc_dead]: [attempt t
+   size] runs once per try. An eden-full attempt is retried after a
+   minor GC, then after a major GC, then raises; an old-full one is
+   retried once after a major GC. [attempt] is a top-level function or a
+   closure built once per allocation, so a retry allocates nothing. *)
+let rec retry (t : t) attempt ~size tries =
+  match attempt t size with
+  | H1_heap.Allocated x -> x
+  | H1_heap.Eden_full ->
+      if tries = 0 then minor_gc t
+      else if tries = 1 then major_gc t
+      else
+        raise
+          (Out_of_memory
+             (Printf.sprintf "cannot allocate %s in eden (%s)"
+                (Size.to_string size)
+                (Size.to_string t.Rt.heap.H1_heap.eden_capacity)));
+      retry t attempt ~size (tries + 1)
+  | H1_heap.Old_full ->
+      if tries <= 1 then major_gc t
+      else
+        raise
+          (Out_of_memory
+             (Printf.sprintf
+                "cannot allocate %s directly in the old generation"
+                (Size.to_string size)));
+      retry t attempt ~size (tries + 2)
+
+(* Humongous path: contiguous regions straight in the old generation,
+   with the last region's tail pinned as slack. *)
+let alloc_humongous kind (t : t) size =
+  let id = H1_heap.fresh_id t.Rt.heap in
+  let o = Obj_.create ~kind ~id ~size () in
+  let slack = g1_slack t size in
+  o.Obj_.region_slack <- slack;
+  t.Rt.g1_humongous_waste <- t.Rt.g1_humongous_waste + slack;
+  match H1_heap.old_alloc_addr t.Rt.heap (Obj_.footprint o) with
+  | None -> H1_heap.Old_full
+  | Some addr ->
+      o.Obj_.loc <- Obj_.Old;
+      o.Obj_.addr <- addr;
+      H1_heap.push_old t.Rt.heap o;
+      H1_heap.Allocated o
+
 let alloc (t : t) ?(kind = Obj_.Data) ~size () =
-  let humongous = g1_humongous t kind size in
   Rt.charge t Clock.Other t.Rt.costs.Costs.alloc_ns;
-  let alloc_once () =
-    if humongous then begin
-      (* Humongous path: contiguous regions straight in the old
-         generation, with the last region's tail pinned as slack. *)
-      let id = H1_heap.fresh_id t.Rt.heap in
-      let o = Obj_.create ~kind ~id ~size () in
-      let slack = g1_slack t size in
-      o.Obj_.region_slack <- slack;
-      t.Rt.g1_humongous_waste <- t.Rt.g1_humongous_waste + slack;
-      match H1_heap.old_alloc_addr t.Rt.heap (Obj_.footprint o) with
-      | None -> H1_heap.Old_full
-      | Some addr ->
-          o.Obj_.loc <- Obj_.Old;
-          o.Obj_.addr <- addr;
-          H1_heap.push_old t.Rt.heap o;
-          H1_heap.Allocated o
-    end
-    else H1_heap.alloc t.Rt.heap ~kind ~size
-  in
-  let rec attempt tries =
-    match alloc_once () with
-    | H1_heap.Allocated o -> o
-    | H1_heap.Eden_full ->
-        if tries = 0 then minor_gc t
-        else if tries = 1 then major_gc t
-        else
-          raise
-            (Out_of_memory
-               (Printf.sprintf "cannot allocate %s in eden (%s)"
-                  (Size.to_string size)
-                  (Size.to_string t.Rt.heap.H1_heap.eden_capacity)));
-        attempt (tries + 1)
-    | H1_heap.Old_full ->
-        if tries <= 1 then major_gc t
-        else
-          raise
-            (Out_of_memory
-               (Printf.sprintf
-                  "cannot allocate %s directly in the old generation"
-                  (Size.to_string size)));
-        attempt (tries + 2)
-  in
-  attempt 0
+  if g1_humongous t kind size then retry t (alloc_humongous kind) ~size 0
+  else retry t (fun t size -> H1_heap.alloc t.Rt.heap ~kind ~size) ~size 0
+
+let alloc_dead_once (t : t) size = H1_heap.alloc_dead t.Rt.heap ~size
+
+let alloc_dead (t : t) ~size =
+  if H1_heap.pretenured t.Rt.heap ~size then
+    (* Pretenured: only a record in the old generation lets a major GC
+       free it. [Temp] never takes G1's humongous path. *)
+    ignore (alloc t ~kind:Obj_.Temp ~size () : Obj_.t)
+  else begin
+    Rt.charge t Clock.Other t.Rt.costs.Costs.alloc_ns;
+    retry t alloc_dead_once ~size 0
+  end
 
 (* Post-write barrier with the TeraHeap reference range check (§4). *)
 let barrier (t : t) (parent : Obj_.t) =

@@ -53,6 +53,18 @@ val alloc :
     than half of eden). Runs minor/major GC on demand; raises
     {!Out_of_memory} when even a full collection cannot make room. *)
 
+val alloc_dead : t -> size:int -> unit
+(** [alloc_dead t ~size] allocates a [Temp] object that nothing will ever
+    reference (a serializer buffer, stage garbage) and changes the
+    simulated state exactly as [ignore (alloc t ~kind:Temp ~size ())]
+    would, without building a record: it charges [alloc_ns] once,
+    consumes one object id per attempt, and drives the same
+    eden-full → minor GC → major GC → {!Out_of_memory} sequence, with the
+    same message. The bytes sit in eden as dead-young bytes
+    ({!Th_minijvm.H1_heap.alloc_dead}) until the next young sweep. Sizes
+    that {!alloc} would pretenure into the old generation take the record
+    path. *)
+
 val write_ref :
   t -> Th_objmodel.Heap_object.t -> Th_objmodel.Heap_object.t -> unit
 (** [write_ref t parent child] stores a reference, executing the post-write

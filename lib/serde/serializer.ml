@@ -31,10 +31,10 @@ let alloc_temps rt ~bytes =
   let chunks = temp_bytes / temp_chunk_bytes in
   for _ = 1 to chunks do
     (* Unreachable immediately: pure GC pressure. *)
-    ignore (Runtime.alloc rt ~kind:Obj_.Temp ~size:temp_chunk_bytes ())
+    Runtime.alloc_dead rt ~size:temp_chunk_bytes
   done;
   let rem = temp_bytes mod temp_chunk_bytes in
-  if rem > 0 then ignore (Runtime.alloc rt ~kind:Obj_.Temp ~size:rem ())
+  if rem > 0 then Runtime.alloc_dead rt ~size:rem
 
 let closure_of root =
   let seen = Hashtbl.create 64 in

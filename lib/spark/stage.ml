@@ -1,5 +1,4 @@
 open Th_sim
-module Obj_ = Th_objmodel.Heap_object
 module Runtime = Th_psgc.Runtime
 module Serializer = Th_serde.Serializer
 
@@ -9,7 +8,7 @@ let alloc_garbage ctx ~bytes =
   let rt = Context.runtime ctx in
   let n = bytes / garbage_elem_bytes in
   for _ = 1 to n do
-    ignore (Runtime.alloc rt ~kind:Obj_.Temp ~size:garbage_elem_bytes ())
+    Runtime.alloc_dead rt ~size:garbage_elem_bytes
   done
 
 let shuffle_chunk_bytes = Size.kib 64

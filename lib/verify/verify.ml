@@ -327,8 +327,10 @@ let align8 n = (n + 7) land lnot 7
 
 let check_accounting t phase =
   let heap = t.rt.Rt.heap in
-  let sum_space name vec expected_loc used by_footprint =
-    let sum = ref 0 in
+  (* [unrecorded] is the space's bytes that have no record: eden's
+     dead-on-arrival allocations. *)
+  let sum_space name vec expected_loc used ~unrecorded by_footprint =
+    let sum = ref unrecorded in
     Vec.iter
       (fun (o : Obj_.t) ->
         if o.Obj_.loc <> expected_loc then
@@ -342,15 +344,18 @@ let check_accounting t phase =
       add t ~rule:Region_accounting ~phase
         (Printf.sprintf "%s accounting: used=%d, object sum=%d" name used !sum)
   in
-  sum_space "eden" heap.H1_heap.eden Obj_.Eden heap.H1_heap.eden_used false;
+  sum_space "eden" heap.H1_heap.eden Obj_.Eden heap.H1_heap.eden_used
+    ~unrecorded:heap.H1_heap.dead_young_bytes false;
   sum_space "survivor" heap.H1_heap.survivor Obj_.Survivor
-    heap.H1_heap.survivor_used false;
-  sum_space "old" heap.H1_heap.old_objs Obj_.Old heap.H1_heap.old_used true;
+    heap.H1_heap.survivor_used ~unrecorded:0 false;
+  sum_space "old" heap.H1_heap.old_objs Obj_.Old heap.H1_heap.old_used
+    ~unrecorded:0 true;
   (* The census recomputes H1 composition from scratch; its total must
-     match an independent sum over the space vectors. *)
+     match an independent sum over the space vectors plus the
+     dead-on-arrival bytes. *)
   let census = Heap_census.of_runtime t.rt in
   let vec_total =
-    let s = ref 0 in
+    let s = ref heap.H1_heap.dead_young_bytes in
     let addv (o : Obj_.t) = s := !s + Obj_.total_size o in
     Vec.iter addv heap.H1_heap.eden;
     Vec.iter addv heap.H1_heap.survivor;

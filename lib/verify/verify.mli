@@ -18,7 +18,8 @@
     - {b dependency-soundness} — every cross-region H2 reference is in
       the source region's dependency list (or Union-Find group), and no
       reference or dependency targets a reclaimed region;
-    - {b region-accounting} — space counters match per-object sums, H2
+    - {b region-accounting} — space counters match per-object sums (eden
+      adds its record-free dead-young bytes), H2
       region allocation pointers replay, the {!Th_psgc.Heap_census}
       agrees, and reclaimed regions are really empty;
     - {b reachability} ([Paranoid] only) — a from-scratch reachability

@@ -250,6 +250,166 @@ let test_threshold_moves_without_hint () =
     (part.Obj_.loc = Obj_.In_h2);
   ignore h2
 
+(* --- dead-on-arrival allocation ------------------------------------- *)
+
+(* Twin runtimes run the same random program; wherever it allocates a
+   dead-on-arrival temporary, one twin builds a [Temp] record and drops
+   it, the other calls [alloc_dead]. Everything observable must agree:
+   simulated time to the bit, object ids, space accounting, GC cycles,
+   the heap census and any out-of-memory message. The heaps are small
+   enough for temps to be pretenured and for programs to run out of
+   memory. *)
+
+type twin_op =
+  | Keep of int * bool
+      (* allocate a [Data] object the program may link, rooted or not *)
+  | Temp of int  (* a dead-on-arrival temporary *)
+  | Root of int
+  | Unroot of int
+  | Link of int * int
+  | Gc_minor
+  | Gc_major
+
+let keep_sizes = [| 64; 4096; 30_000; 60_000 |]
+
+(* The largest sizes exceed half of eden on the smaller heaps and are
+   pretenured. *)
+let temp_sizes = [| 16; 4096; 65_536; 100_000 |]
+
+let twin_op_gen =
+  QCheck.Gen.(
+    let idx = int_range 0 31 in
+    frequency
+      [
+        (6, map2 (fun s r -> Keep (s, r)) (int_range 0 3) bool);
+        (8, map (fun s -> Temp s) (int_range 0 3));
+        (3, map (fun i -> Root i) idx);
+        (1, map (fun i -> Unroot i) idx);
+        (3, map2 (fun a b -> Link (a, b)) idx idx);
+        (1, return Gc_minor);
+        (1, return Gc_major);
+      ])
+
+let twin_op_to_string = function
+  | Keep (s, r) -> Printf.sprintf "Keep(%d,%b)" keep_sizes.(s) r
+  | Temp s -> Printf.sprintf "Temp %d" temp_sizes.(s)
+  | Root i -> Printf.sprintf "Root %d" i
+  | Unroot i -> Printf.sprintf "Unroot %d" i
+  | Link (a, b) -> Printf.sprintf "Link(%d,%d)" a b
+  | Gc_minor -> "Minor"
+  | Gc_major -> "Major"
+
+let twin_case_gen =
+  QCheck.Gen.(
+    triple
+      (oneofl [ Size.kib 256; Size.kib 512; Size.mib 1 ])
+      (oneofl [ Th_psgc.Rt.Ps; Th_psgc.Rt.G1 ])
+      (list_size (int_range 1 150) twin_op_gen))
+
+let twin_case_print (heap_bytes, collector, program) =
+  Printf.sprintf "heap %d, %s: %s" heap_bytes
+    (match collector with
+    | Th_psgc.Rt.Ps -> "ps"
+    | Th_psgc.Rt.Ps_jdk11 -> "ps-jdk11"
+    | Th_psgc.Rt.G1 -> "g1")
+    (String.concat "; " (List.map twin_op_to_string program))
+
+let kind_tag (k : Obj_.kind) =
+  match k with
+  | Obj_.Data -> "data"
+  | Obj_.Array_data -> "array"
+  | Obj_.Jvm_metadata -> "jvm-metadata"
+  | Obj_.Weak_reference -> "weak-ref"
+  | Obj_.Temp -> "temp"
+
+let cycle_to_string = function
+  | Gc_stats.Minor { at_ns; duration_ns } ->
+      Printf.sprintf "minor %h %h" at_ns duration_ns
+  | Gc_stats.Major
+      {
+        at_ns;
+        duration_ns;
+        phases = p;
+        old_occupancy_after;
+        bytes_moved_to_h2;
+        regions_freed;
+      } ->
+      Printf.sprintf "major %h %h [%h %h %h %h] %h %d %d" at_ns duration_ns
+        p.Gc_stats.marking_ns p.Gc_stats.precompact_ns p.Gc_stats.adjust_ns
+        p.Gc_stats.compact_ns old_occupancy_after bytes_moved_to_h2
+        regions_freed
+
+(* Run [program] on a fresh runtime and render everything observable.
+   Returns the rendering and the sanitizer's violation count. *)
+let run_twin ~dead (heap_bytes, collector, program) =
+  let clock = Clock.create () in
+  let heap = H1_heap.create ~heap_bytes () in
+  let rt = Runtime.create ~collector ~clock ~costs:Costs.default ~heap () in
+  let verifier = Th_verify.Verify.attach rt Th_verify.Verify.Safepoint in
+  let kept = Vec.create () in
+  let get i =
+    if Vec.is_empty kept then None
+    else
+      let o = Vec.get kept (i mod Vec.length kept) in
+      if Obj_.is_freed o then None else Some o
+  in
+  let run_op = function
+    | Keep (s, rooted) ->
+        let o = Runtime.alloc rt ~size:keep_sizes.(s) () in
+        if rooted then Runtime.add_root rt o;
+        Vec.push kept o
+    | Temp s ->
+        let size = temp_sizes.(s) in
+        if dead then Runtime.alloc_dead rt ~size
+        else ignore (Runtime.alloc rt ~kind:Obj_.Temp ~size () : Obj_.t)
+    | Root i -> Option.iter (Runtime.add_root rt) (get i)
+    | Unroot i -> Option.iter (Runtime.remove_root rt) (get i)
+    | Link (a, b) -> (
+        match (get a, get b) with
+        | Some p, Some c when p != c -> Runtime.write_ref rt p c
+        | _ -> ())
+    | Gc_minor -> Runtime.minor_gc rt
+    | Gc_major -> Runtime.major_gc rt
+  in
+  let oom =
+    match List.iter run_op program with
+    | () -> "none"
+    | exception Runtime.Out_of_memory msg -> msg
+  in
+  let b = Clock.breakdown clock in
+  let lines =
+    [
+      Printf.sprintf "clock %h %h %h %h" b.Clock.other_ns b.Clock.serde_io_ns
+        b.Clock.minor_gc_ns b.Clock.major_gc_ns;
+      Printf.sprintf "next_id %d" heap.H1_heap.next_id;
+      Printf.sprintf "used eden %d survivor %d old %d" heap.H1_heap.eden_used
+        heap.H1_heap.survivor_used heap.H1_heap.old_used;
+      "oom " ^ oom;
+    ]
+    @ List.map cycle_to_string (Gc_stats.cycles (Runtime.stats rt))
+    @ List.map
+        (fun (e : Th_psgc.Heap_census.entry) ->
+          Printf.sprintf "census %s %d %d" (kind_tag e.Th_psgc.Heap_census.kind)
+            e.Th_psgc.Heap_census.count e.Th_psgc.Heap_census.bytes)
+        (Th_psgc.Heap_census.of_runtime rt)
+  in
+  (String.concat "\n" lines, Th_verify.Verify.violation_count verifier)
+
+let prop_alloc_dead_twin =
+  QCheck.Test.make ~name:"alloc_dead is indistinguishable from a Temp record"
+    ~count:200
+    (QCheck.make ~print:twin_case_print twin_case_gen)
+    (fun case ->
+      let records, record_violations = run_twin ~dead:false case in
+      let dead, dead_violations = run_twin ~dead:true case in
+      if record_violations <> 0 || dead_violations <> 0 then
+        QCheck.Test.fail_reportf "sanitizer violations: records %d, dead %d"
+          record_violations dead_violations
+      else if not (String.equal records dead) then
+        QCheck.Test.fail_reportf "twins diverge:\n--- Temp records\n%s\n--- alloc_dead\n%s"
+          records dead
+      else true)
+
 let suite =
   [
     Alcotest.test_case "alloc lands in eden" `Quick test_alloc_in_eden;
@@ -274,4 +434,5 @@ let suite =
       test_backward_ref_protects_h1_object;
     Alcotest.test_case "high threshold moves without hint" `Quick
       test_threshold_moves_without_hint;
+    QCheck_alcotest.to_alcotest prop_alloc_dead_twin;
   ]

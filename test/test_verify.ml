@@ -179,6 +179,31 @@ let test_detects_accounting_skew () =
   Verify.check_now v;
   check_detects v Verify.Region_accounting
 
+(* Eden holds record-free dead-on-arrival bytes: a clean heap with some
+   passes, and skewing the dead-young counter is one eden accounting
+   violation (the census counts the same skewed bytes, so it still
+   agrees with the space sums). *)
+let test_detects_dead_young_skew () =
+  let rt, _, _ = mk_rt () in
+  let keep = Runtime.alloc rt ~size:256 () in
+  Runtime.add_root rt keep;
+  for _ = 1 to 8 do
+    Runtime.alloc_dead rt ~size:(Size.kib 4)
+  done;
+  let heap = Runtime.heap rt in
+  Alcotest.(check bool) "precondition: dead-young bytes in eden" true
+    (heap.H1_heap.dead_young_bytes > 0);
+  let v = Verify.attach rt Verify.Paranoid in
+  Verify.check_now v;
+  Alcotest.(check int) "clean before tampering" 0 (Verify.violation_count v);
+  heap.H1_heap.dead_young_bytes <- heap.H1_heap.dead_young_bytes + 4096;
+  Verify.check_now v;
+  Alcotest.(check (list string)) "one region-accounting violation"
+    [ Verify.rule_id Verify.Region_accounting ]
+    (List.map
+       (fun (x : Verify.violation) -> Verify.rule_id x.Verify.rule)
+       (Verify.violations v))
+
 let test_detects_freed_reachable () =
   let rt, _, _ = mk_rt () in
   let o = Runtime.alloc rt ~size:256 () in
@@ -485,6 +510,8 @@ let suite =
       test_detects_removed_dependency;
     Alcotest.test_case "detects accounting skew" `Quick
       test_detects_accounting_skew;
+    Alcotest.test_case "detects dead-young counter skew" `Quick
+      test_detects_dead_young_skew;
     Alcotest.test_case "detects freed-but-reachable (paranoid only)" `Quick
       test_detects_freed_reachable;
     Alcotest.test_case "detects clock rollback" `Quick
