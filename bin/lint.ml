@@ -6,7 +6,6 @@
      --explain RULE       print a rule's documentation and exit
      --list-rules         one-line summary of every rule
      --self-test          run the analyzer over its embedded fixtures
-     --callgraph-dump     print the cross-library call graph and exit
      --interleave [full]  run the bounded-interleaving deque checker
      -o FILE              write the report to FILE instead of stdout
      paths                files or directories (default: lib bin bench)
@@ -24,8 +23,7 @@ let usage () =
   prerr_endline
     "usage: lint.exe [--format text|json|sarif] [--rules r1,r2] [--explain \
      RULE]\n\
-    \       [--list-rules] [--self-test] [--callgraph-dump] [--interleave \
-     [full]]\n\
+    \       [--list-rules] [--self-test] [--interleave [full]]\n\
     \       [-o FILE] [paths...]";
   exit 2
 
@@ -89,18 +87,6 @@ let interleave ~full =
     exit 0
   end
 
-let callgraph_dump paths =
-  let files =
-    List.sort String.compare (List.concat_map (fun p -> collect p []) paths)
-  in
-  let sources =
-    List.filter_map
-      (fun f -> Result.to_option (Th_analysis.Source.parse_file f))
-      files
-  in
-  print_string (Th_analysis.Engine.callgraph_dump sources);
-  exit 0
-
 let self_test () =
   match Th_analysis.Selftest.run () with
   | Ok n ->
@@ -145,8 +131,6 @@ let () =
     | "--self-test" :: _ -> self_test ()
     | "--interleave" :: "full" :: _ -> interleave ~full:true
     | "--interleave" :: _ -> interleave ~full:false
-    | "--callgraph-dump" :: rest ->
-        callgraph_dump (match rest with [] -> default_paths | ps -> ps)
     | "-o" :: v :: rest | "--output" :: v :: rest ->
         output := Some v;
         parse_args rest

@@ -36,15 +36,6 @@
 open Parsetree
 module SS = Syntax.SS
 
-type raw = {
-  loc : Location.t;
-  rule : string;
-  message : string;
-  allows : string list;
-      (* [@th.allow] tokens in scope at the site, innermost included;
-         the engine diverts the finding if the rule is among them *)
-}
-
 type op_kind = Read | Write | Cas | Rmw
 
 let op_kind_of_name = function
@@ -104,55 +95,46 @@ let atomic_modules str =
 (* ------------------------------------------------------------------ *)
 (* Pass B: collect every atomic op with location identity              *)
 
-type op = {
-  kind : op_kind;
-  locid : string;
-  op_loc : Location.t;
-  op_allows : string list;
-}
+type op = { kind : op_kind; locid : string; op_loc : Location.t }
 
-(* All atomic ops in an expression subtree, with the allow-tokens in
-   scope. [base_allows] seeds the stack (binding-level waivers). *)
-let ops_in ~mods ~base_allows root =
-  let acc = ref [] in
-  let rec walk allows e =
-    let allows =
-      match Syntax.attr_allows e.pexp_attributes with
-      | [] -> allows
-      | more -> more @ allows
-    in
-    (match e.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-        match Syntax.last2 (Syntax.flatten_lid txt) with
-        | Some (m, fn) when SS.mem m mods && SS.mem fn atomic_op_names -> (
-            match (op_kind_of_name fn, args) with
-            | Some kind, (_, target) :: _ -> (
-                match loc_id_of_expr target with
-                | Some locid ->
-                    acc :=
-                      { kind; locid; op_loc = e.pexp_loc; op_allows = allows }
-                      :: !acc
-                | None -> ())
-            | _ -> ())
-        | _ -> ())
-    | _ -> ());
-    iter_children allows e
-  and iter_children allows e =
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr = (fun _ e' -> walk allows e');
-      }
-    in
-    Ast_iterator.default_iterator.expr it e
+(* Pre-order walk of an expression subtree, [f] at every node. *)
+let iter_exprs f root =
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          f e;
+          Ast_iterator.default_iterator.expr it e);
+    }
   in
-  walk base_allows root;
+  it.expr it root
+
+(* All atomic ops in an expression subtree, in pre-order. *)
+let ops_in ~mods root =
+  let acc = ref [] in
+  iter_exprs
+    (fun e ->
+      match e.pexp_desc with
+      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
+          match Syntax.last2 (Syntax.flatten_lid txt) with
+          | Some (m, fn) when SS.mem m mods && SS.mem fn atomic_op_names -> (
+              match (op_kind_of_name fn, args) with
+              | Some kind, (_, target) :: _ -> (
+                  match loc_id_of_expr target with
+                  | Some locid ->
+                      acc := { kind; locid; op_loc = e.pexp_loc } :: !acc
+                  | None -> ())
+              | _ -> ())
+          | _ -> ())
+      | _ -> ())
+    root;
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Check-then-act: get of L guards a set of L with no interposing CAS  *)
 
-let check_then_act ~mods ~base_allows body k =
+let check_then_act ~mods body k =
   (* Variables bound to [Atomic.get L] results, per walk. *)
   let bound : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let get_locid e =
@@ -192,67 +174,39 @@ let check_then_act ~mods ~base_allows body k =
       it.expr it e;
       !hit)
   in
-  let branch_ops branch =
-    ops_in ~mods ~base_allows branch
+  (* A write in [branch] guarded by a read of its location in [cond],
+     with no CAS-class op on that location in the branch. *)
+  let guarded_writes cond branch =
+    let ops = ops_in ~mods branch in
+    List.iter
+      (fun o ->
+        if
+          o.kind = Write
+          && mentions_read o.locid cond
+          && not
+               (List.exists
+                  (fun o' ->
+                    (o'.kind = Cas || o'.kind = Rmw)
+                    && String.equal o'.locid o.locid)
+                  ops)
+        then k o)
+      ops
   in
-  let rec walk allows e =
-    let allows =
-      match Syntax.attr_allows e.pexp_attributes with
-      | [] -> allows
-      | more -> more @ allows
-    in
-    (match e.pexp_desc with
-    | Pexp_let (_, vbs, _) ->
-        List.iter
-          (fun vb ->
-            match (vb.pvb_pat.ppat_desc, get_locid vb.pvb_expr) with
-            | Ppat_var { txt; _ }, Some l -> Hashtbl.replace bound txt l
-            | _ -> ())
-          vbs
-    | Pexp_ifthenelse (cond, thn, els) ->
-        let branches = thn :: Option.to_list els in
-        List.iter
-          (fun branch ->
-            let ops = branch_ops branch in
-            List.iter
-              (fun o ->
-                if
-                  o.kind = Write
-                  && mentions_read o.locid cond
-                  && not
-                       (List.exists
-                          (fun o' ->
-                            (o'.kind = Cas || o'.kind = Rmw)
-                            && String.equal o'.locid o.locid)
-                          ops)
-                then k { o with op_allows = o.op_allows @ allows })
-              ops)
-          branches
-    | Pexp_while (cond, body) ->
-        let ops = branch_ops body in
-        List.iter
-          (fun o ->
-            if
-              o.kind = Write
-              && mentions_read o.locid cond
-              && not
-                   (List.exists
-                      (fun o' ->
-                        (o'.kind = Cas || o'.kind = Rmw)
-                        && String.equal o'.locid o.locid)
-                      ops)
-            then k { o with op_allows = o.op_allows @ allows })
-          ops
-    | _ -> ());
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr = (fun _ e' -> walk allows e');
-      }
-    in
-    Ast_iterator.default_iterator.expr it e
-  in
-  walk base_allows body
+  iter_exprs
+    (fun e ->
+      match e.pexp_desc with
+      | Pexp_let (_, vbs, _) ->
+          List.iter
+            (fun vb ->
+              match (vb.pvb_pat.ppat_desc, get_locid vb.pvb_expr) with
+              | Ppat_var { txt; _ }, Some l -> Hashtbl.replace bound txt l
+              | _ -> ())
+            vbs
+      | Pexp_ifthenelse (cond, thn, els) ->
+          List.iter (guarded_writes cond) (thn :: Option.to_list els)
+      | Pexp_while (cond, body) -> guarded_writes cond body
+      | _ -> ())
+    body
 
 (* ------------------------------------------------------------------ *)
 (* Declarations that need [@th.atomic] roles                           *)
@@ -261,7 +215,6 @@ type decl = {
   decl_name : string;  (* locid form: ".field" or "name" *)
   decl_loc : Location.t;
   decl_role : string option;
-  decl_allows : string list;
 }
 
 let is_atomic_type ~mods t =
@@ -295,7 +248,6 @@ let decls ~mods str =
                             decl_name = "." ^ l.pld_name.txt;
                             decl_loc = l.pld_loc;
                             decl_role = Syntax.attr_atomic_role l.pld_attributes;
-                            decl_allows = Syntax.attr_allows l.pld_attributes;
                           }
                           :: !out)
                     labels
@@ -328,7 +280,6 @@ let decls ~mods str =
                             | None ->
                                 Syntax.attr_atomic_role
                                   vb.pvb_expr.pexp_attributes);
-                          decl_allows = Syntax.attr_allows vb.pvb_attributes;
                         }
                         :: !out
                   | false -> ())
@@ -351,33 +302,20 @@ let mty_is_atomics (mty : module_type) =
       List.exists (String.equal "Atomic_intf") (Syntax.flatten_lid txt)
   | _ -> false
 
-let file_attr_allows items =
-  List.concat_map
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_attribute a -> Syntax.attr_allows [ a ]
-      | _ -> [])
-    items
-
-let rec scopes ~extra_mods ~inherited items =
-  let here_allows = inherited @ file_attr_allows items in
-  (extra_mods, here_allows, items)
+let rec scopes ~extra_mods items =
+  (extra_mods, items)
   :: List.concat_map
        (fun item ->
          match item.pstr_desc with
-         | Pstr_module mb ->
-             mod_scopes ~extra_mods ~inherited:here_allows mb.pmb_expr
+         | Pstr_module mb -> mod_scopes ~extra_mods mb.pmb_expr
          | Pstr_recmodule mbs ->
-             List.concat_map
-               (fun mb ->
-                 mod_scopes ~extra_mods ~inherited:here_allows mb.pmb_expr)
-               mbs
+             List.concat_map (fun mb -> mod_scopes ~extra_mods mb.pmb_expr) mbs
          | _ -> [])
        items
 
-and mod_scopes ~extra_mods ~inherited me =
+and mod_scopes ~extra_mods me =
   match me.pmod_desc with
-  | Pmod_structure s -> scopes ~extra_mods ~inherited s
+  | Pmod_structure s -> scopes ~extra_mods s
   | Pmod_functor (param, body) ->
       let extra_mods =
         match param with
@@ -385,44 +323,36 @@ and mod_scopes ~extra_mods ~inherited me =
             SS.add a extra_mods
         | _ -> extra_mods
       in
-      mod_scopes ~extra_mods ~inherited body
-  | Pmod_constraint (me, _) -> mod_scopes ~extra_mods ~inherited me
+      mod_scopes ~extra_mods body
+  | Pmod_constraint (me, _) -> mod_scopes ~extra_mods me
   | _ -> []
 
 let roles str =
   List.concat_map
-    (fun (extra_mods, _, items) ->
+    (fun (extra_mods, items) ->
       let mods = SS.union extra_mods (atomic_modules items) in
       List.filter_map
         (fun d -> Option.map (fun r -> (d.decl_name, r)) d.decl_role)
         (decls ~mods items))
-    (scopes ~extra_mods:SS.empty ~inherited:[] str)
+    (scopes ~extra_mods:SS.empty str)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-module analysis                                               *)
 
-(* Top-level defs with their binding-level allow tokens. *)
+(* Top-level definition bodies. *)
 let top_defs str =
   List.concat_map
     (fun item ->
       match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.map
-            (fun vb -> (Syntax.attr_allows vb.pvb_attributes, vb.pvb_expr))
-            vbs
+      | Pstr_value (_, vbs) -> List.map (fun vb -> vb.pvb_expr) vbs
       | _ -> [])
     str
 
-let analyze_scope ~mods ~file_allows items =
-  let str = items in
-  let defs = top_defs str in
+let analyze_scope ~mods str =
   let per_def_ops =
-    List.map
-      (fun (allows, body) ->
-        (allows, ops_in ~mods ~base_allows:(allows @ file_allows) body, body))
-      defs
+    List.map (fun body -> (ops_in ~mods body, body)) (top_defs str)
   in
-  let all_ops = List.concat_map (fun (_, ops, _) -> ops) per_def_ops in
+  let all_ops = List.concat_map fst per_def_ops in
   (* Per-location access classes across the whole module. *)
   let contended locid kinds =
     List.exists
@@ -437,9 +367,7 @@ let analyze_scope ~mods ~file_allows items =
       | None -> ""
   in
   let out = ref [] in
-  let push loc rule message allows =
-    out := { loc; rule; message; allows } :: !out
-  in
+  let push loc rule message = out := { Finding.loc; rule; message } :: !out in
   (* Missing roles. *)
   List.iter
     (fun d ->
@@ -449,8 +377,7 @@ let analyze_scope ~mods ~file_allows items =
              "Atomic.t declaration %S has no [@th.atomic \"role\"] \
               annotation; state its protocol (who writes it, how it is \
               published, e.g. \"top pointer, stolen via CAS\")"
-             d.decl_name)
-          (d.decl_allows @ file_allows))
+             d.decl_name))
     (decls ~mods str);
   (* Plain writes to CAS/RMW-contended locations. *)
   List.iter
@@ -462,12 +389,11 @@ let analyze_scope ~mods ~file_allows items =
               CAS-class operations; a plain store can overwrite a concurrent \
               RMW — use compare_and_set, or waive with the protocol phase \
               that makes the store safe (e.g. workers quiesced)"
-             o.locid (role_of o.locid))
-          o.op_allows)
+             o.locid (role_of o.locid)))
     all_ops;
   (* Plain reads of CAS-contended locations in defs with no CAS on them. *)
   List.iter
-    (fun (_, ops, _) ->
+    (fun (ops, _) ->
       List.iter
         (fun o ->
           if
@@ -485,28 +411,25 @@ let analyze_scope ~mods ~file_allows items =
                   this definition performs no CAS on it, so the value is a \
                   racy snapshot — feed the read into a compare_and_set, or \
                   waive stating why staleness is acceptable"
-                 o.locid (role_of o.locid))
-              o.op_allows)
+                 o.locid (role_of o.locid)))
         ops)
     per_def_ops;
   (* Check-then-act windows. *)
   List.iter
-    (fun (allows, _, body) ->
-      check_then_act ~mods ~base_allows:(allows @ file_allows) body (fun o ->
+    (fun (_, body) ->
+      check_then_act ~mods body (fun o ->
           push o.op_loc "atomic-check-then-act"
             (Printf.sprintf
                "Atomic.get of %S%s guards this Atomic.set to the same \
                 location with no interposing CAS: the location can change \
                 between the read and the write — close the window with \
                 compare_and_set"
-               o.locid (role_of o.locid))
-            o.op_allows))
+               o.locid (role_of o.locid))))
     per_def_ops;
   List.rev !out
 
 let analyze str =
   List.concat_map
-    (fun (extra_mods, file_allows, items) ->
-      let mods = SS.union extra_mods (atomic_modules items) in
-      analyze_scope ~mods ~file_allows items)
-    (scopes ~extra_mods:SS.empty ~inherited:[] str)
+    (fun (extra_mods, items) ->
+      analyze_scope ~mods:(SS.union extra_mods (atomic_modules items)) items)
+    (scopes ~extra_mods:SS.empty str)

@@ -11,16 +11,7 @@
     and [atomic-check-then-act] (a get guarding a set to the same
     location with no interposing CAS). *)
 
-type raw = {
-  loc : Location.t;
-  rule : string;
-  message : string;
-  allows : string list;
-      (** [[@th.allow]] tokens in scope at the site; the engine diverts
-          the finding to the waived list if the rule is among them *)
-}
-
-val analyze : Parsetree.structure -> raw list
+val analyze : Parsetree.structure -> Finding.raw list
 (** All atomic-protocol findings for one module, in emission order
     (missing roles, plain writes, plain reads, check-then-act). *)
 

@@ -36,13 +36,6 @@ val global_site : t -> key -> string
 val def_effects : t -> key -> key list
 (** Mutable globals transitively reachable from a definition. *)
 
-val is_def : t -> key -> bool
-(** Is the key an analyzed (non-global) definition? *)
-
-val def_attrs : t -> key -> Parsetree.attributes
-(** Binding attributes of a definition ([[@th.raises]], [[@th.allow]]);
-    [[]] for unknown keys. *)
-
 val fold_defs :
   t ->
   init:'a ->
@@ -50,10 +43,6 @@ val fold_defs :
   'a
 (** Fold over every definition in canonical ({!compare_key}) order —
     the deterministic iteration the raises fixpoint relies on. *)
-
-val mutable_field : t -> lib:string -> modname:string -> string -> bool
-(** Does [modname] (of [lib]) declare a record field of this name
-    [mutable]? Used to classify captured record literals. *)
 
 val is_mutable_init :
   t -> lib:string -> modname:string -> Parsetree.expression -> bool
@@ -65,8 +54,3 @@ val is_mutable_init :
 val is_domain_safe_init : Parsetree.expression -> bool
 (** [Atomic.make]/[Mutex.create]/[Condition.create]/[Semaphore.make]:
     mutable but safe to share across domains by construction. *)
-
-val dump : t -> string
-(** Deterministic text dump (sorted by key): every mutable global with
-    its definition site, then every def with direct call edges and its
-    transitive effect summary. *)

@@ -15,65 +15,130 @@ type local_class =
   | Safe  (** Atomic.t, Mutex, Condition — shareable by construction *)
   | Unknown
 
+(* ------------------------------------------------------------------ *)
+(* Waivers                                                             *)
+
+(* One waiver: the tokens it allows and the source extent it covers,
+   as (line, column) bounds, [first] inclusive and [last] exclusive. *)
+type span = { first : int * int; last : int * int; tokens : string list }
+
+let point (p : Lexing.position) = (p.pos_lnum, p.pos_cnum - p.pos_bol)
+
+let not_after (l, c) (l', c') = l < l' || (l = l' && c <= c')
+
+(* Every waiver of a file, collected once: an attribute covers the node
+   it is attached to (expression, value binding, record field,
+   top-level expression); a floating [[@@@th.allow]] covers the whole
+   file at top level and the module body when nested; a comment covers
+   its last line and the three below it. *)
+let waiver_spans (s : Source.t) str =
+  let spans = ref [] in
+  let add first last tokens =
+    if tokens <> [] then spans := { first; last; tokens } :: !spans
+  in
+  let attrs (loc : Location.t) a =
+    add (point loc.loc_start) (point loc.loc_end) (Syntax.attr_allows a)
+  in
+  let floating first last items =
+    List.iter
+      (fun item ->
+        match item.pstr_desc with
+        | Pstr_attribute a -> add first last (Syntax.attr_allows [ a ])
+        | _ -> ())
+      items
+  in
+  let open Ast_iterator in
+  let it =
+    {
+      default_iterator with
+      expr =
+        (fun it e ->
+          attrs e.pexp_loc e.pexp_attributes;
+          default_iterator.expr it e);
+      value_binding =
+        (fun it vb ->
+          attrs vb.pvb_loc vb.pvb_attributes;
+          default_iterator.value_binding it vb);
+      label_declaration =
+        (fun it ld ->
+          attrs ld.pld_loc ld.pld_attributes;
+          default_iterator.label_declaration it ld);
+      structure_item =
+        (fun it si ->
+          (match si.pstr_desc with
+          | Pstr_eval (_, a) -> attrs si.pstr_loc a
+          | _ -> ());
+          default_iterator.structure_item it si);
+      structure =
+        (fun it items ->
+          (match (items, List.rev items) with
+          | first :: _, last :: _ ->
+              floating
+                (point first.pstr_loc.loc_start)
+                (point last.pstr_loc.loc_end)
+                items
+          | _ -> ());
+          default_iterator.structure it items);
+    }
+  in
+  floating (0, 0) (max_int, max_int) str;
+  List.iter (it.structure_item it) str;
+  List.iter
+    (fun (l, tokens) -> add (l, 0) (l + 3, max_int) tokens)
+    (Source.line_waivers s);
+  !spans
+
 type ctx = {
   file : string;
   modname : string;
   lib : string;
   enabled : string -> bool;
   module_defs : SS.t;  (** top-level value names — they shadow stdlib *)
-  file_allowed : SS.t;
-  comment_allow : (int * SS.t) list;
-  mutable allow_stack : string list list;
-  shadow : (string, int) Hashtbl.t;
-  locals : (string, local_class list) Hashtbl.t;
-      (** innermost-first classification stack per name, maintained in
-          lockstep with [shadow] *)
+  waivers : span list;
+  scope : local_class Syntax.scope;
+      (** escape-analysis classification of the locals in scope *)
   db : Callgraph.t;
   mutable findings : Finding.t list;
   mutable waived : Finding.t list;
 }
 
-let shadow_count ctx n = Option.value ~default:0 (Hashtbl.find_opt ctx.shadow n)
-
 let local_class ctx n =
-  match Hashtbl.find_opt ctx.locals n with
-  | Some (c :: _) -> c
-  | _ -> Unknown
+  Option.value ~default:Unknown (Syntax.innermost ctx.scope n)
 
-let comment_waived ctx line rule =
+(* Does a waiver naming [tok] (a rule name, or a bless token like
+   [domain_shared]) cover the start of [loc]? *)
+let waived_at ctx (loc : Location.t) tok =
+  let p = point loc.loc_start in
   List.exists
-    (fun (l, rules) -> l <= line && line - l <= 3 && SS.mem rule rules)
-    ctx.comment_allow
+    (fun s ->
+      not_after s.first p && not (not_after s.last p) && List.mem tok s.tokens)
+    ctx.waivers
 
-(* Is a waiver token (a rule name, or a bless token like
-   [domain_shared]) in scope at [line] through any waiver channel? *)
-let token_in_scope ctx line tok =
-  SS.mem tok ctx.file_allowed
-  || List.exists (List.mem tok) ctx.allow_stack
-  || comment_waived ctx line tok
-
-let emit ?(force_waive = false) ctx ~(loc : Location.t) ~rule message =
+(* [blessed] diverts the finding even when no waiver names its rule: an
+   escape capture under a [domain_shared] token, or a global blessed at
+   its definition. *)
+let emit ?(blessed = false) ctx ~(loc : Location.t) ~rule message =
   if ctx.enabled rule then begin
     let severity =
       match Rule.find rule with
       | Some r -> r.Rule.severity
       | None -> Finding.Error
     in
-    let line = loc.loc_start.pos_lnum in
     let f =
       {
         Finding.file = ctx.file;
-        line;
+        line = loc.loc_start.pos_lnum;
         col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
         rule;
         severity;
         message;
       }
     in
-    let allowed = force_waive || token_in_scope ctx line rule in
-    if allowed then ctx.waived <- f :: ctx.waived
+    if blessed || waived_at ctx loc rule then ctx.waived <- f :: ctx.waived
     else ctx.findings <- f :: ctx.findings
   end
+
+let emit_raw ctx { Finding.loc; rule; message } = emit ctx ~loc ~rule message
 
 (* ------------------------------------------------------------------ *)
 (* Rule: identifier vocabularies                                       *)
@@ -94,7 +159,7 @@ let check_ident ctx lid (loc : Location.t) =
   let path = Syntax.flatten_lid lid in
   (match path with
   | [ "compare" ]
-    when shadow_count ctx "compare" = 0
+    when not (Syntax.bound ctx.scope "compare")
          && not (SS.mem "compare" ctx.module_defs) ->
       emit ctx ~loc ~rule:"poly-compare"
         "polymorphic compare; use a typed comparator (Int.compare, \
@@ -221,7 +286,7 @@ let check_pmap_site ctx callee args =
         | None -> ""
         | Some k -> Printf.sprintf " (via %s.%s)" k.Callgraph.modname k.name
       in
-      emit ~force_waive:blessed ctx ~loc ~rule:"pmap-mutable-global"
+      emit ~blessed ctx ~loc ~rule:"pmap-mutable-global"
         (Printf.sprintf
            "mutable global %s (defined at %s) is reachable from a closure \
             passed to %s%s; cells run on worker domains, so confine mutable \
@@ -245,14 +310,12 @@ let check_pmap_site ctx callee args =
              classified mutable, capturing it ships unsynchronised
              state to a worker domain: the escape-capture rule. *)
           match lid with
-          | Longident.Lident n when shadow_count ctx n > 0 -> (
+          | Longident.Lident n when Syntax.bound ctx.scope n -> (
               match local_class ctx n with
               | Mut when not (Hashtbl.mem seen_escape n) ->
                   Hashtbl.replace seen_escape n ();
-                  let line = loc.loc_start.pos_lnum in
                   emit ctx ~loc ~rule:"escape-capture"
-                    ~force_waive:
-                      (token_in_scope ctx line Syntax.escape_bless_token)
+                    ~blessed:(waived_at ctx loc Syntax.escape_bless_token)
                     (Printf.sprintf
                        "local mutable value %S is captured by a closure \
                         passed to %s and escapes to a worker domain; make it \
@@ -285,141 +348,47 @@ let classify_rhs ctx e =
   else Unknown
 
 let run_structure ctx str =
-  let open Ast_iterator in
-  (* [vars] carries (name, classification) pairs so the escape analysis
-     knows what a captured name aliases. *)
-  let with_vars ctx vars k =
-    List.iter
-      (fun (n, c) ->
-        Hashtbl.replace ctx.shadow n (shadow_count ctx n + 1);
-        let prev = Option.value ~default:[] (Hashtbl.find_opt ctx.locals n) in
-        Hashtbl.replace ctx.locals n (c :: prev))
-      vars;
-    k ();
-    List.iter
-      (fun (n, _) ->
-        Hashtbl.replace ctx.shadow n (shadow_count ctx n - 1);
-        match Hashtbl.find_opt ctx.locals n with
-        | Some (_ :: rest) -> Hashtbl.replace ctx.locals n rest
-        | _ -> ())
-      vars
+  let pre e =
+    match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> check_ident ctx txt e.pexp_loc
+    | Pexp_apply (fn, args) -> (
+        (match fn.pexp_desc with
+        | Pexp_ident { txt = Longident.Lident (("=" | "<>" | "==" | "!=") as op); _ }
+          -> (
+            match args with
+            | [ (_, a); (_, b) ] ->
+                if is_floaty a || is_floaty b then
+                  emit ctx ~loc:e.pexp_loc ~rule:"float-equality"
+                    (Printf.sprintf
+                       "(%s) on floating-point operands; compare with an \
+                        epsilon or Float.compare's total order"
+                       op)
+                else if is_composite_literal a || is_composite_literal b then
+                  emit ctx ~loc:e.pexp_loc ~rule:"poly-compare"
+                    (Printf.sprintf
+                       "structural (%s) against a composite literal; use a \
+                        typed equality"
+                       op)
+            | _ -> ())
+        | _ -> ());
+        match Syntax.worker_sink fn with
+        | Some callee -> check_pmap_site ctx callee args
+        | None -> ())
+    | Pexp_assert
+        { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
+      ->
+        emit ctx ~loc:e.pexp_loc ~rule:"assert-false"
+          "bare `assert false`; raise a contextful exception \
+           (invalid_arg, Rt.Invalid_heap_state, failwith with the \
+           unexpected value)"
+    | Pexp_function cases | Pexp_match (_, cases) -> check_catch_all ctx cases
+    | _ -> ()
   in
-  let unknowns vars = List.map (fun n -> (n, Unknown)) vars in
-  let with_allows allows k =
-    match allows with
-    | [] -> k ()
-    | _ ->
-        ctx.allow_stack <- allows :: ctx.allow_stack;
-        k ();
-        ctx.allow_stack <- List.tl ctx.allow_stack
+  let it =
+    Syntax.scoped_iterator ctx.scope ~classify:(classify_rhs ctx) ~other:Unknown
+      ~pre
   in
-  (* Binding vars with classification: a simple [let x = rhs] gets its
-     RHS classified; destructuring patterns stay Unknown. *)
-  let vb_vars vb =
-    match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt; _ } -> [ (txt, classify_rhs ctx vb.pvb_expr) ]
-    | _ -> unknowns (Syntax.pat_vars vb.pvb_pat)
-  in
-  let rec expr it e =
-    let sub e = expr it e in
-    let visit_case c =
-      with_vars ctx (unknowns (Syntax.pat_vars c.pc_lhs)) (fun () ->
-          Option.iter sub c.pc_guard;
-          sub c.pc_rhs)
-    in
-    with_allows (Syntax.attr_allows e.pexp_attributes) (fun () ->
-        match e.pexp_desc with
-        | Pexp_ident { txt; _ } -> check_ident ctx txt e.pexp_loc
-        | Pexp_apply (fn, args) ->
-            (match fn.pexp_desc with
-            | Pexp_ident { txt = Longident.Lident (("=" | "<>" | "==" | "!=") as op); _ }
-              -> (
-                match args with
-                | [ (_, a); (_, b) ] ->
-                    if is_floaty a || is_floaty b then
-                      emit ctx ~loc:e.pexp_loc ~rule:"float-equality"
-                        (Printf.sprintf
-                           "(%s) on floating-point operands; compare with an \
-                            epsilon or Float.compare's total order"
-                           op)
-                    else if is_composite_literal a || is_composite_literal b
-                    then
-                      emit ctx ~loc:e.pexp_loc ~rule:"poly-compare"
-                        (Printf.sprintf
-                           "structural (%s) against a composite literal; use \
-                            a typed equality"
-                           op)
-                | _ -> ())
-            | _ -> ());
-            (match Syntax.worker_sink fn with
-            | Some callee -> check_pmap_site ctx callee args
-            | None -> ());
-            sub fn;
-            List.iter (fun (_, a) -> sub a) args
-        | Pexp_assert
-            { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
-          ->
-            emit ctx ~loc:e.pexp_loc ~rule:"assert-false"
-              "bare `assert false`; raise a contextful exception \
-               (invalid_arg, Rt.Invalid_heap_state, failwith with the \
-               unexpected value)"
-        | Pexp_let (rf, vbs, body) ->
-            let vars = List.concat_map vb_vars vbs in
-            let visit_vb vb =
-              with_allows (Syntax.attr_allows vb.pvb_attributes) (fun () ->
-                  sub vb.pvb_expr)
-            in
-            (match rf with
-            | Recursive ->
-                with_vars ctx vars (fun () ->
-                    List.iter visit_vb vbs;
-                    sub body)
-            | Nonrecursive ->
-                List.iter visit_vb vbs;
-                with_vars ctx vars (fun () -> sub body))
-        | Pexp_fun (_, dflt, pat, body) ->
-            Option.iter sub dflt;
-            with_vars ctx (unknowns (Syntax.pat_vars pat)) (fun () -> sub body)
-        | Pexp_function cases ->
-            check_catch_all ctx cases;
-            List.iter visit_case cases
-        | Pexp_match (s, cases) ->
-            sub s;
-            check_catch_all ctx cases;
-            List.iter visit_case cases
-        | Pexp_try (s, cases) ->
-            sub s;
-            List.iter visit_case cases
-        | Pexp_for (pat, a, b, _, body) ->
-            sub a;
-            sub b;
-            with_vars ctx (unknowns (Syntax.pat_vars pat)) (fun () -> sub body)
-        | _ -> default_iterator.expr it e)
-  in
-  let structure_item it si =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-        List.iter
-          (fun vb ->
-            with_allows (Syntax.attr_allows vb.pvb_attributes) (fun () ->
-                default_iterator.value_binding it vb))
-          vbs
-    | _ -> default_iterator.structure_item it si
-  in
-  let it = { default_iterator with expr; structure_item } in
   it.structure it str
-
-let file_level_allows str =
-  List.fold_left
-    (fun acc item ->
-      match item.pstr_desc with
-      | Pstr_attribute a ->
-          List.fold_left
-            (fun acc r -> SS.add r acc)
-            acc
-            (Syntax.attr_allows [ a ])
-      | _ -> acc)
-    SS.empty str
 
 let analyze ?rules sources =
   let enabled r =
@@ -459,39 +428,20 @@ let analyze ?rules sources =
               lib = s.library;
               enabled;
               module_defs;
-              file_allowed = file_level_allows str;
-              comment_allow =
-                List.map
-                  (fun (l, rs) -> (l, SS.of_list rs))
-                  (Source.line_waivers s);
-              allow_stack = [];
-              shadow = Hashtbl.create 16;
-              locals = Hashtbl.create 16;
+              waivers = waiver_spans s str;
+              scope = Syntax.scope ();
               db;
               findings = [];
               waived = [];
             }
           in
           run_structure ctx str;
-          (* Atomic-protocol pass: its own traversal (it needs
-             whole-module views of each location), findings funnel
-             through the same emit so file- and comment-level waivers
-             apply uniformly. *)
-          List.iter
-            (fun (r : Atomics.raw) ->
-              emit ctx ~loc:r.loc ~rule:r.rule
-                ~force_waive:(List.mem r.rule r.allows)
-                r.message)
-            (Atomics.analyze str);
-          (* Raises pass: summaries were computed project-wide up
-             front; per-file rule checks funnel through emit the same
-             way, so [@th.allow]/comment waivers divert uniformly. *)
-          List.iter
-            (fun (r : Raises.raw) ->
-              emit ctx ~loc:r.loc ~rule:r.rule
-                ~force_waive:(List.mem r.rule r.allows)
-                r.message)
-            (Raises.check_file rdb s);
+          (* The atomic-protocol pass (whole-module views of each
+             location) and the raises pass (summaries computed
+             project-wide up front) report raw findings; the same emit
+             applies every waiver to them. *)
+          List.iter (emit_raw ctx) (Atomics.analyze str);
+          List.iter (emit_raw ctx) (Raises.check_file rdb s);
           findings := ctx.findings @ !findings;
           waived := ctx.waived @ !waived)
     sources;
@@ -521,5 +471,3 @@ let analyze_files ?rules files =
   in
   let r = analyze ?rules (List.rev parsed) in
   { r with findings = List.sort Finding.compare (errors @ r.findings) }
-
-let callgraph_dump sources = Callgraph.dump (Callgraph.build sources)

@@ -1,7 +1,7 @@
 (** The rule engine: one pass of syntactic rules per file, a
     cross-library effect analysis (mutable globals and escaping
-    captures at domain-crossing sinks), and the atomic-protocol pass —
-    all with uniform waiver handling.
+    captures at domain-crossing sinks), the atomic-protocol and raises
+    passes — and the one place where waivers are applied.
 
     The escape-capture rule has a dedicated bless token: [@th.allow
     "domain_shared <justification>"] diverts the finding to [waived].
@@ -11,10 +11,15 @@
     Waivers, from narrowest to widest scope:
     - [[@th.allow "rule"]] on an expression covers that subtree;
     - [[@@th.allow "rule"]] on a value binding covers the definition;
-    - [[@@@th.allow "rule"]] anywhere in a file covers the whole file;
+    - [[@@@th.allow "rule"]] covers the structure it sits in: the whole
+      file at top level, the module body when nested;
     - [(* th-lint: allow rule *)] covers findings on the comment's last
       line and the three lines below it (so the comment sits above the
-      site, like the old char-level linter's waivers).
+      site).
+
+    Each file's waivers are collected once as source spans; a finding
+    is waived when its position lies inside a span naming its rule,
+    whichever pass reported it.
 
     A waived finding is still produced — it lands in [waived] instead of
     [findings] — so reports can show what was suppressed and tests can
@@ -38,9 +43,3 @@ val analyze : ?rules:string list -> Source.t list -> result
 val analyze_files : ?rules:string list -> string list -> result
 (** Parse then {!analyze}. A file that fails to parse contributes a
     [parse-error] finding carrying the parser's message. *)
-
-val callgraph_dump : Source.t list -> string
-(** Deterministic text dump of the cross-library call graph the
-    domain-safety rules resolve over: every mutable global with its
-    definition site, every definition's direct call edges and
-    transitive effect summary. Exposed as [--callgraph-dump]. *)

@@ -1,3 +1,5 @@
+type raw = { loc : Location.t; rule : string; message : string }
+
 type severity = Error | Warning
 
 type t = {
@@ -10,11 +12,6 @@ type t = {
 }
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
-
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | _ -> None
 
 let compare a b =
   match String.compare a.file b.file with

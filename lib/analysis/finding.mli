@@ -5,6 +5,10 @@
     they carry everything needed to locate, explain and gate on a rule
     violation without re-reading the source. *)
 
+type raw = { loc : Location.t; rule : string; message : string }
+(** A finding as a pass reports it: where, which rule, what. {!Engine}
+    assigns the severity and decides whether a waiver covers [loc]. *)
+
 type severity = Error | Warning
 
 type t = {
@@ -17,8 +21,6 @@ type t = {
 }
 
 val severity_to_string : severity -> string
-
-val severity_of_string : string -> severity option
 
 val compare : t -> t -> int
 (** Total order: file, line, col, rule, message — gives reports a

@@ -36,13 +36,6 @@ open Parsetree
 module SS = Syntax.SS
 module SM = Map.Make (String)
 
-type raw = {
-  loc : Location.t;
-  rule : string;
-  message : string;
-  allows : string list;  (** th.allow tokens in scope at the site *)
-}
-
 (* Where a constructor entered a summary: the first raise site or
    callee occurrence seen, for actionable finding messages. *)
 type witness = { wloc : Location.t; via : Callgraph.key option }
@@ -119,32 +112,25 @@ type env = {
   t : t;
   cur_lib : string;
   cur_mod : string;
-  shadow : (string, int) Hashtbl.t;
+  shadow : unit Syntax.scope;
   (* let-bound lambdas: raising is latent, attributed at occurrences *)
-  latent : (string, SS.t list) Hashtbl.t;
+  latent : SS.t Syntax.scope;
   (* handler-bound exception variables: what a re-raise reintroduces *)
-  reraise : (string, SS.t list) Hashtbl.t;
+  reraise : SS.t Syntax.scope;
 }
 
-let shadow_count env n =
-  Option.value ~default:0 (Hashtbl.find_opt env.shadow n)
-
-let stack_top tbl n =
-  match Hashtbl.find_opt tbl n with Some (s :: _) -> Some s | _ -> None
-
-let push tbl n v =
-  Hashtbl.replace tbl n (v :: Option.value ~default:[] (Hashtbl.find_opt tbl n))
-
-let pop tbl n =
-  match Hashtbl.find_opt tbl n with
-  | Some (_ :: rest) -> Hashtbl.replace tbl n rest
-  | _ -> ()
+let env t ~lib ~modname =
+  {
+    t;
+    cur_lib = lib;
+    cur_mod = modname;
+    shadow = Syntax.scope ();
+    latent = Syntax.scope ();
+    reraise = Syntax.scope ();
+  }
 
 let with_vars env vars k =
-  List.iter (fun n -> Hashtbl.replace env.shadow n (shadow_count env n + 1)) vars;
-  let r = k () in
-  List.iter (fun n -> Hashtbl.replace env.shadow n (shadow_count env n - 1)) vars;
-  r
+  Syntax.with_bindings env.shadow (List.map (fun n -> (n, ())) vars) k
 
 let singleton ctor loc = SM.singleton ctor { wloc = loc; via = None }
 
@@ -177,8 +163,8 @@ let arg_passes_guard args label =
    can be discharged; a bare occurrence keeps the full set. *)
 let ident_contrib ?apply_args env lid (loc : Location.t) =
   match lid with
-  | Longident.Lident n when shadow_count env n > 0 -> (
-      match stack_top env.latent n with
+  | Longident.Lident n when Syntax.bound env.shadow n -> (
+      match Syntax.innermost env.latent n with
       | Some latent ->
           SS.fold
             (fun c acc -> SM.add c { wloc = loc; via = None } acc)
@@ -206,7 +192,9 @@ let is_raise env fn =
   | Pexp_ident { txt; _ } -> (
       match Syntax.flatten_lid txt with
       | [ ("raise" | "raise_notrace") ] ->
-          shadow_count env "raise" = 0 && shadow_count env "raise_notrace" = 0
+          not
+            (Syntax.bound env.shadow "raise"
+            || Syntax.bound env.shadow "raise_notrace")
       | [ "Stdlib"; ("raise" | "raise_notrace") ] -> true
       | _ -> false)
   | _ -> false
@@ -266,10 +254,10 @@ let rec eval env e =
                   merge (singleton ctor arg.pexp_loc) payload_raises
               | [] -> payload_raises)
           | Pexp_ident { txt = Longident.Lident n; _ }
-            when shadow_count env n > 0 -> (
+            when Syntax.bound env.shadow n -> (
               (* [raise e] where [e] was bound by a handler: the
                  original set flows onward. *)
-              match stack_top env.reraise n with
+              match Syntax.innermost env.reraise n with
               | Some set ->
                   SS.fold
                     (fun c acc ->
@@ -333,10 +321,7 @@ and eval_cases env cases ~reraise =
               match (h.bound, reraise) with
               | Some v, Some full ->
                   let set = if h.catch_all then full else h.ctors in
-                  push env.reraise v set;
-                  let r = k () in
-                  pop env.reraise v;
-                  r
+                  Syntax.with_bindings env.reraise [ (v, set) ] k
               | _ -> k ()
             in
             bind_reraise (fun () ->
@@ -390,12 +375,12 @@ and eval_let env rf vbs body =
         (eager, eval_lambda_bodies ())
     | Recursive ->
         with_vars env (lambdas @ plain_vars) (fun () ->
-            List.iter (fun n -> push env.latent n SS.empty) lambdas;
+            List.iter (fun n -> Syntax.push env.latent n SS.empty) lambdas;
             let rec iterate sets budget =
               List.iter
                 (fun (n, s) ->
-                  pop env.latent n;
-                  push env.latent n s)
+                  Syntax.pop env.latent n;
+                  Syntax.push env.latent n s)
                 sets;
               let next = eval_lambda_bodies () in
               if budget = 0 || List.equal (fun (a, sa) (b, sb) ->
@@ -412,15 +397,12 @@ and eval_let env rf vbs body =
                   | None -> merge acc (eval env vb.pvb_expr))
                 SM.empty vbs
             in
-            List.iter (fun n -> pop env.latent n) lambdas;
+            List.iter (fun n -> Syntax.pop env.latent n) lambdas;
             (eager, latents))
   in
   let body_raises =
     with_vars env (lambdas @ plain_vars) (fun () ->
-        List.iter (fun (n, s) -> push env.latent n s) latents;
-        let r = eval env body in
-        List.iter (fun (n, _) -> pop env.latent n) latents;
-        r)
+        Syntax.with_bindings env.latent latents (fun () -> eval env body))
   in
   merge eager body_raises
 
@@ -464,17 +446,7 @@ let build db (_sources : Source.t list) =
             decl
       | None -> ());
   let eval_def key body =
-    let env =
-      {
-        t;
-        cur_lib = key.Callgraph.lib;
-        cur_mod = key.Callgraph.modname;
-        shadow = Hashtbl.create 16;
-        latent = Hashtbl.create 8;
-        reraise = Hashtbl.create 8;
-      }
-    in
-    eval env body
+    eval (env t ~lib:key.Callgraph.lib ~modname:key.Callgraph.modname) body
   in
   let changed = ref true in
   while !changed do
@@ -502,17 +474,7 @@ let summary t key =
     (Option.value ~default:SS.empty (Hashtbl.find_opt t.published key))
 
 let of_expr t ~lib ~modname e =
-  let env =
-    {
-      t;
-      cur_lib = lib;
-      cur_mod = modname;
-      shadow = Hashtbl.create 16;
-      latent = Hashtbl.create 8;
-      reraise = Hashtbl.create 8;
-    }
-  in
-  SS.elements (domain (eval env e))
+  SS.elements (domain (eval (env t ~lib ~modname) e))
 
 (* ------------------------------------------------------------------ *)
 (* Rule checks over one file                                           *)
@@ -551,7 +513,28 @@ let fault_barrier_message ~def ctor w =
    so they are audited at cell and render boundaries instead. *)
 let barrier_checked ctor = not (SS.mem ctor cell_allowed)
 
-let check_def t ~lib acc ~modname ~prefix ~allows vb =
+(* Fault exceptions escaping module-initialisation code at [loc]: a
+   [let () = ...] or destructuring binding, or a top-level expression.
+   Nothing above that code can handle them. *)
+let init_escapes t ~lib ~modname ~loc e acc =
+  List.fold_left
+    (fun acc ctor ->
+      if barrier_checked ctor then
+        {
+          Finding.loc;
+          rule = "fault-barrier";
+          message =
+            Printf.sprintf
+              "%s may escape module initialisation of %s; nothing above \
+               this code can handle it — absorb it here"
+              ctor modname;
+        }
+        :: acc
+      else acc)
+    acc
+    (of_expr t ~lib ~modname e)
+
+let check_def t ~lib acc ~modname ~prefix vb =
   match vb.pvb_pat.ppat_desc with
   | Ppat_var { txt; _ } ->
       let name =
@@ -564,7 +547,6 @@ let check_def t ~lib acc ~modname ~prefix ~allows vb =
       let declared =
         Option.value ~default:SS.empty (Hashtbl.find_opt t.declared key)
       in
-      let vb_allows = Syntax.attr_allows vb.pvb_attributes @ allows in
       SM.fold
         (fun ctor w acc ->
           let undeclared = not (SS.mem ctor declared) in
@@ -575,13 +557,12 @@ let check_def t ~lib acc ~modname ~prefix ~allows vb =
           in
           if barrier_checked ctor && (undeclared || h2_escape_from_psgc) then
             {
-              loc = w.wloc;
+              Finding.loc = w.wloc;
               rule = "fault-barrier";
               message =
                 fault_barrier_message
                   ~def:(Printf.sprintf "%s.%s" modname name)
                   ctor w;
-              allows = vb_allows;
             }
             :: acc
           else acc)
@@ -589,65 +570,34 @@ let check_def t ~lib acc ~modname ~prefix ~allows vb =
   | _ ->
       (* Module-initialisation code ([let () = ...], destructuring):
          anything escaping here aborts at load/startup time. *)
-      let inferred = of_expr t ~lib ~modname vb.pvb_expr in
-      List.fold_left
-        (fun acc ctor ->
-          if barrier_checked ctor then
-            {
-              loc = vb.pvb_loc;
-              rule = "fault-barrier";
-              message =
-                Printf.sprintf
-                  "%s may escape module initialisation of %s; nothing above \
-                   this code can handle it — absorb it here"
-                  ctor modname;
-              allows = Syntax.attr_allows vb.pvb_attributes @ allows;
-            }
-            :: acc
-          else acc)
-        acc inferred
+      init_escapes t ~lib ~modname ~loc:vb.pvb_loc vb.pvb_expr acc
 
 let check_file t (s : Source.t) =
   match s.ast with
   | Source.Signature _ -> []
   | Source.Structure str ->
       let acc = ref [] in
-      let env =
-        {
-          t;
-          cur_lib = s.library;
-          cur_mod = s.modname;
-          shadow = Hashtbl.create 16;
-          latent = Hashtbl.create 8;
-          reraise = Hashtbl.create 8;
-        }
+      let push loc rule message =
+        acc := { Finding.loc; rule; message } :: !acc
       in
-      let check_cell_site ~allows callee args =
+      let env = env t ~lib:s.library ~modname:s.modname in
+      let check_cell_site callee args =
         List.iter
           (fun (_, arg) ->
-            let escapes = eval env arg in
             SM.iter
               (fun ctor w ->
                 if not (SS.mem ctor cell_allowed) then
-                  acc :=
-                    {
-                      loc = w.wloc;
-                      rule = "cell-boundary";
-                      message =
-                        Printf.sprintf
-                          "%s%s can escape a thunk handed to %s; the \
-                           scheduler only re-raises \
-                           Out_of_memory/Invalid_heap_state across the \
-                           batch — handle %s inside the cell and fold it \
-                           into the result value"
-                          ctor (describe_witness w) callee ctor;
-                      allows;
-                    }
-                    :: !acc)
-              escapes)
+                  push w.wloc "cell-boundary"
+                    (Printf.sprintf
+                       "%s%s can escape a thunk handed to %s; the scheduler \
+                        only re-raises Out_of_memory/Invalid_heap_state \
+                        across the batch — handle %s inside the cell and \
+                        fold it into the result value"
+                       ctor (describe_witness w) callee ctor))
+              (eval env arg))
           args
       in
-      let check_render_site ~allows args =
+      let check_render_site args =
         List.iter
           (fun (label, arg) ->
             let is_render =
@@ -657,23 +607,15 @@ let check_file t (s : Source.t) =
               | _ -> false
             in
             if is_render then begin
-              let escapes = eval env arg in
               SM.iter
                 (fun ctor w ->
-                  acc :=
-                    {
-                      loc = w.wloc;
-                      rule = "pure-render";
-                      message =
-                        Printf.sprintf
-                          "%s%s can escape a Plan render function; renders \
-                           must be exception-free — resolve failures in \
-                           the cells and render the resolved values"
-                          ctor (describe_witness w);
-                      allows;
-                    }
-                    :: !acc)
-                escapes;
+                  push w.wloc "pure-render"
+                    (Printf.sprintf
+                       "%s%s can escape a Plan render function; renders \
+                        must be exception-free — resolve failures in the \
+                        cells and render the resolved values"
+                       ctor (describe_witness w)))
+                (eval env arg);
               (* Effect-freedom: no mutable global reachable from the
                  render, directly or through calls. *)
               Syntax.iter_unshadowed_idents arg ~f:(fun lid loc ->
@@ -696,88 +638,35 @@ let check_file t (s : Source.t) =
                                 Printf.sprintf " (via %s)"
                                   (Callgraph.key_to_string k)
                           in
-                          acc :=
-                            {
-                              loc;
-                              rule = "pure-render";
-                              message =
-                                Printf.sprintf
-                                  "mutable global %s is reachable from a \
-                                   Plan render function%s; renders must be \
-                                   effect-free — accumulate on the serial \
-                                   path after the batch, then render the \
-                                   result"
-                                  (Callgraph.key_to_string g) via_s;
-                              allows;
-                            }
-                            :: !acc)
+                          push loc "pure-render"
+                            (Printf.sprintf
+                               "mutable global %s is reachable from a Plan \
+                                render function%s; renders must be \
+                                effect-free — accumulate on the serial path \
+                                after the batch, then render the result"
+                               (Callgraph.key_to_string g) via_s))
                         globals)
                     (Callgraph.resolve t.db ~cur_lib:s.library
                        ~cur_mod:s.modname lid))
             end)
           args
       in
-      (* Walk the structure: value bindings get the def-level
-         fault-barrier check; applications get the sink checks. The
-         allow stack mirrors Engine's so expression-level waivers
-         reach the raw findings. *)
-      let rec walk_expr ~allows e =
-        let allows = Syntax.attr_allows e.pexp_attributes @ allows in
-        (match e.pexp_desc with
-        | Pexp_apply (fn, args) -> (
-            (match Syntax.worker_sink fn with
-            | Some callee -> check_cell_site ~allows callee args
-            | None -> ());
-            match render_sink fn with
-            | Some _ -> check_render_site ~allows args
-            | None -> ())
-        | _ -> ());
-        iter_children ~allows e
-      and iter_children ~allows e =
-        (* Maintain the same shadow discipline as [eval], so a sink
-           argument's reference to an enclosing local is not resolved
-           as a top-level definition of the same name. *)
-        match e.pexp_desc with
-        | Pexp_fun (_, dflt, pat, body) ->
-            Option.iter (walk_expr ~allows) dflt;
-            with_vars env (Syntax.pat_vars pat) (fun () ->
-                walk_expr ~allows body)
-        | Pexp_function cases -> List.iter (walk_case ~allows) cases
-        | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-            walk_expr ~allows scrut;
-            List.iter (walk_case ~allows) cases
-        | Pexp_let (rf, vbs, body) ->
-            let vars = List.concat_map (fun vb -> Syntax.pat_vars vb.pvb_pat) vbs in
-            let visit_vb vb =
-              walk_expr
-                ~allows:(Syntax.attr_allows vb.pvb_attributes @ allows)
-                vb.pvb_expr
-            in
-            (match rf with
-            | Recursive ->
-                with_vars env vars (fun () ->
-                    List.iter visit_vb vbs;
-                    walk_expr ~allows body)
-            | Nonrecursive ->
-                List.iter visit_vb vbs;
-                with_vars env vars (fun () -> walk_expr ~allows body))
-        | Pexp_for (pat, a, b, _, body) ->
-            walk_expr ~allows a;
-            walk_expr ~allows b;
-            with_vars env (Syntax.pat_vars pat) (fun () ->
-                walk_expr ~allows body)
-        | _ ->
-            let it =
-              {
-                Ast_iterator.default_iterator with
-                expr = (fun _ child -> walk_expr ~allows child);
-              }
-            in
-            Ast_iterator.default_iterator.expr it e
-      and walk_case ~allows c =
-        with_vars env (Syntax.pat_vars c.pc_lhs) (fun () ->
-            Option.iter (walk_expr ~allows) c.pc_guard;
-            walk_expr ~allows c.pc_rhs)
+      (* Value bindings get the def-level fault-barrier check;
+         applications get the sink checks, evaluated under the
+         enclosing locals so a sink argument's reference to one is not
+         resolved as a top-level definition of the same name. *)
+      let sinks =
+        Syntax.scoped_iterator env.shadow ~classify:ignore ~other:()
+          ~pre:(fun e ->
+            match e.pexp_desc with
+            | Pexp_apply (fn, args) -> (
+                (match Syntax.worker_sink fn with
+                | Some callee -> check_cell_site callee args
+                | None -> ());
+                match render_sink fn with
+                | Some _ -> check_render_site args
+                | None -> ())
+            | _ -> ())
       in
       let rec walk_items ~prefix ~modname items =
         List.iter
@@ -787,34 +676,16 @@ let check_file t (s : Source.t) =
                 List.iter
                   (fun vb ->
                     acc :=
-                      check_def t ~lib:s.library !acc ~modname ~prefix
-                        ~allows:[] vb;
-                    walk_expr
-                      ~allows:(Syntax.attr_allows vb.pvb_attributes)
-                      vb.pvb_expr)
+                      check_def t ~lib:s.library !acc ~modname ~prefix vb;
+                    sinks.expr sinks vb.pvb_expr)
                   vbs
             | Pstr_module mb -> walk_mod ~prefix ~modname mb
             | Pstr_recmodule mbs ->
                 List.iter (walk_mod ~prefix ~modname) mbs
-            | Pstr_eval (e, attrs) ->
-                List.iter
-                  (fun ctor ->
-                    if barrier_checked ctor then
-                      acc :=
-                        {
-                          loc = e.pexp_loc;
-                          rule = "fault-barrier";
-                          message =
-                            Printf.sprintf
-                              "%s may escape module initialisation of %s; \
-                               nothing above this code can handle it — \
-                               absorb it here"
-                              ctor modname;
-                          allows = Syntax.attr_allows attrs;
-                        }
-                        :: !acc)
-                  (of_expr t ~lib:s.library ~modname e);
-                walk_expr ~allows:(Syntax.attr_allows attrs) e
+            | Pstr_eval (e, _) ->
+                acc :=
+                  init_escapes t ~lib:s.library ~modname ~loc:e.pexp_loc e !acc;
+                sinks.expr sinks e
             | _ -> ())
           items
       and walk_mod ~prefix ~modname mb =

@@ -19,13 +19,6 @@
     ([Plan.seal ~render] callbacks must be exception- and
     effect-free). *)
 
-type raw = {
-  loc : Location.t;
-  rule : string;
-  message : string;
-  allows : string list;  (** th.allow tokens in scope at the site *)
-}
-
 type t
 
 val build : Callgraph.t -> Source.t list -> t
@@ -43,7 +36,6 @@ val of_expr :
     module's scope, resolving free identifiers through the call
     graph. Sorted. *)
 
-val check_file : t -> Source.t -> raw list
+val check_file : t -> Source.t -> Finding.raw list
 (** The fault-barrier / cell-boundary / pure-render findings for one
-    file, in source order. The caller funnels them through
-    {!Engine}-style emission so waivers apply uniformly. *)
+    file, in source order; {!Engine} applies the waivers. *)

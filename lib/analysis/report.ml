@@ -84,9 +84,7 @@ let to_json ?(waived = []) findings =
 (* One run, one driver, every registry rule in the driver's rule
    metadata; waived findings are emitted as results carrying an
    inSource suppression, which is how SARIF viewers (and the GitHub
-   code-scanning UI) display "found but deliberately accepted". Only
-   strings and integers are emitted so [of_sarif] can reuse the same
-   dependency-free tokenizer as [of_json]. *)
+   code-scanning UI) display "found but deliberately accepted". *)
 let add_sarif_result b ~suppressed (f : Finding.t) =
   Buffer.add_string b "{\"ruleId\":\"";
   escape_json b f.rule;
@@ -135,257 +133,3 @@ let to_sarif ?(waived = []) findings =
     waived;
   Buffer.add_string b "]}]}\n";
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* JSON reading (exactly the subset written above: objects, arrays,    *)
-(* strings with the escapes we emit, and non-negative integers)        *)
-
-exception Bad of string
-
-type tok =
-  | Lbrace | Rbrace | Lbrack | Rbrack | Colon | Comma
-  | Str of string
-  | Num of int
-
-let tokenize s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | ' ' | '\n' | '\t' | '\r' -> incr i
-    | '{' -> toks := Lbrace :: !toks; incr i
-    | '}' -> toks := Rbrace :: !toks; incr i
-    | '[' -> toks := Lbrack :: !toks; incr i
-    | ']' -> toks := Rbrack :: !toks; incr i
-    | ':' -> toks := Colon :: !toks; incr i
-    | ',' -> toks := Comma :: !toks; incr i
-    | '"' ->
-        let b = Buffer.create 32 in
-        incr i;
-        let fin = ref false in
-        while not !fin do
-          if !i >= n then raise (Bad "unterminated string");
-          (match s.[!i] with
-          | '"' -> fin := true
-          | '\\' ->
-              if !i + 1 >= n then raise (Bad "bad escape");
-              (match s.[!i + 1] with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  if !i + 5 >= n then raise (Bad "bad \\u escape");
-                  let code =
-                    try int_of_string ("0x" ^ String.sub s (!i + 2) 4)
-                    with _ -> raise (Bad "bad \\u escape")
-                  in
-                  if code > 0xff then raise (Bad "non-latin \\u escape")
-                  else Buffer.add_char b (Char.chr code);
-                  i := !i + 4
-              | c -> raise (Bad (Printf.sprintf "unknown escape \\%c" c)));
-              incr i
-          | c -> Buffer.add_char b c);
-          incr i
-        done;
-        toks := Str (Buffer.contents b) :: !toks
-    | '0' .. '9' | '-' ->
-        let j = ref !i in
-        if s.[!j] = '-' then incr j;
-        while !j < n && (match s.[!j] with '0' .. '9' -> true | _ -> false) do
-          incr j
-        done;
-        let num =
-          try int_of_string (String.sub s !i (!j - !i))
-          with _ -> raise (Bad "bad number")
-        in
-        toks := Num num :: !toks;
-        i := !j
-    | c -> raise (Bad (Printf.sprintf "unexpected character %C" c)));
-  done;
-  List.rev !toks
-[@@th.raises "Bad"]
-
-let parse_finding toks =
-  let expect t = function
-    | x :: rest when x = t -> rest
-    | _ -> raise (Bad "malformed finding object")
-  in
-  let rec fields acc toks =
-    match toks with
-    | Rbrace :: rest -> (acc, rest)
-    | Comma :: rest -> fields acc rest
-    | Str k :: Colon :: v :: rest ->
-        let acc =
-          match (k, v) with
-          | "file", Str s -> { acc with Finding.file = s }
-          | "line", Num n -> { acc with Finding.line = n }
-          | "col", Num n -> { acc with Finding.col = n }
-          | "rule", Str s -> { acc with Finding.rule = s }
-          | "severity", Str s -> (
-              match Finding.severity_of_string s with
-              | Some sv -> { acc with Finding.severity = sv }
-              | None -> raise (Bad ("unknown severity " ^ s)))
-          | "message", Str s -> { acc with Finding.message = s }
-          | _ -> raise (Bad ("unexpected field " ^ k))
-        in
-        fields acc rest
-    | _ -> raise (Bad "malformed finding object")
-  in
-  let zero =
-    {
-      Finding.file = "";
-      line = 0;
-      col = 0;
-      rule = "";
-      severity = Finding.Error;
-      message = "";
-    }
-  in
-  fields zero (expect Lbrace toks)
-[@@th.raises "Bad"]
-
-let parse_array toks =
-  let rec items acc toks =
-    match toks with
-    | Rbrack :: rest -> (List.rev acc, rest)
-    | Comma :: rest -> items acc rest
-    | Lbrace :: _ ->
-        let f, rest = parse_finding toks in
-        items (f :: acc) rest
-    | _ -> raise (Bad "malformed finding array")
-  in
-  match toks with
-  | Lbrack :: rest -> items [] rest
-  | _ -> raise (Bad "expected array")
-[@@th.raises "Bad"]
-
-let of_json s =
-  match tokenize s with
-  | exception Bad m -> Error m
-  | toks -> (
-      try
-        match toks with
-        | Lbrace :: Str "version" :: Colon :: Num 1 :: Comma
-          :: Str "findings" :: Colon :: rest -> (
-            let findings, rest = parse_array rest in
-            match rest with
-            | Comma :: Str "waived" :: Colon :: rest -> (
-                let waived, rest = parse_array rest in
-                match rest with
-                | [ Rbrace ] -> Ok (findings, waived)
-                | _ -> Error "trailing tokens")
-            | _ -> Error "missing waived array")
-        | _ -> Error "missing version/findings header"
-      with Bad m -> Error m)
-
-(* ------------------------------------------------------------------ *)
-(* SARIF reading: a generic value parser over the same tokens, then    *)
-(* navigation down to runs[0].results                                  *)
-
-type json = Obj of (string * json) list | Arr of json list | JStr of string | JNum of int
-
-let rec parse_value = function
-  | Lbrace :: rest -> parse_obj [] rest
-  | Lbrack :: rest -> parse_arr [] rest
-  | Str s :: rest -> (JStr s, rest)
-  | Num n :: rest -> (JNum n, rest)
-  | _ -> raise (Bad "malformed value")
-[@@th.raises "Bad"]
-
-and parse_obj acc = function
-  | Rbrace :: rest -> (Obj (List.rev acc), rest)
-  | Comma :: rest -> parse_obj acc rest
-  | Str k :: Colon :: rest ->
-      let v, rest = parse_value rest in
-      parse_obj ((k, v) :: acc) rest
-  | _ -> raise (Bad "malformed object")
-[@@th.raises "Bad"]
-
-and parse_arr acc = function
-  | Rbrack :: rest -> (Arr (List.rev acc), rest)
-  | Comma :: rest -> parse_arr acc rest
-  | toks ->
-      let v, rest = parse_value toks in
-      parse_arr (v :: acc) rest
-[@@th.raises "Bad"]
-
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-let of_sarif s =
-  match tokenize s with
-  | exception Bad m -> Error m
-  | toks -> (
-      try
-        let doc, rest = parse_value toks in
-        if rest <> [] then raise (Bad "trailing tokens");
-        (match member "version" doc with
-        | Some (JStr "2.1.0") -> ()
-        | _ -> raise (Bad "not a SARIF 2.1.0 document"));
-        let run =
-          match member "runs" doc with
-          | Some (Arr (run :: _)) -> run
-          | _ -> raise (Bad "missing runs")
-        in
-        let results =
-          match member "results" run with
-          | Some (Arr rs) -> rs
-          | _ -> raise (Bad "missing results")
-        in
-        let finding r =
-          let str path = match path with Some (JStr s) -> s | _ -> raise (Bad "missing string") in
-          let rule = str (member "ruleId" r) in
-          let severity =
-            match Finding.severity_of_string (str (member "level" r)) with
-            | Some s -> s
-            | None -> raise (Bad "unknown level")
-          in
-          let message = str (member "message" r |> Option.map (member "text") |> Option.join) in
-          let phys =
-            match member "locations" r with
-            | Some (Arr (l :: _)) -> (
-                match member "physicalLocation" l with
-                | Some p -> p
-                | None -> raise (Bad "missing physicalLocation"))
-            | _ -> raise (Bad "missing locations")
-          in
-          let file =
-            str
-              (member "artifactLocation" phys
-              |> Option.map (member "uri")
-              |> Option.join)
-          in
-          let num path = match path with Some (JNum n) -> n | _ -> raise (Bad "missing number") in
-          let region =
-            match member "region" phys with
-            | Some rg -> rg
-            | None -> raise (Bad "missing region")
-          in
-          let suppressed =
-            match member "suppressions" r with
-            | Some (Arr (_ :: _)) -> true
-            | _ -> false
-          in
-          ( {
-              Finding.file;
-              line = num (member "startLine" region);
-              col = num (member "startColumn" region) - 1;
-              rule;
-              severity;
-              message;
-            },
-            suppressed )
-        in
-        let fs, ws =
-          List.fold_left
-            (fun (fs, ws) r ->
-              let f, suppressed = finding r in
-              if suppressed then (fs, f :: ws) else (f :: fs, ws))
-            ([], []) results
-        in
-        Ok (List.rev fs, List.rev ws)
-      with Bad m -> Error m)

@@ -9,10 +9,8 @@
       "waived":   [ ... same shape ... ] }
     v}
 
-    Output is deterministic — fixed key order, findings pre-sorted by
-    the engine — and {!of_json} parses exactly this schema back, so
-    reports round-trip (a qcheck property in the test suite) and CI
-    artifacts can be post-processed without a JSON library. *)
+    Output is deterministic: fixed key order, findings pre-sorted by
+    the engine. *)
 
 val to_text : ?waived:Finding.t list -> Finding.t list -> string
 (** One finding per line via {!Finding.to_string}, then a summary line.
@@ -20,16 +18,9 @@ val to_text : ?waived:Finding.t list -> Finding.t list -> string
 
 val to_json : ?waived:Finding.t list -> Finding.t list -> string
 
-val of_json : string -> (Finding.t list * Finding.t list, string) result
-(** Parse {!to_json} output back into [(findings, waived)]. *)
-
 val to_sarif : ?waived:Finding.t list -> Finding.t list -> string
 (** SARIF 2.1.0 (minimal profile): one run, driver ["th-lint"] with the
     full rule registry as rule metadata, one result per finding. Waived
     findings become results carrying an [inSource] suppression, so
     SARIF viewers show them as deliberately accepted rather than
     dropping them. Deterministic output; only strings and integers. *)
-
-val of_sarif : string -> (Finding.t list * Finding.t list, string) result
-(** Parse {!to_sarif} output back into [(findings, waived)] — waived
-    are the suppressed results. Round-trips like {!of_json}. *)

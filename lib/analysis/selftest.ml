@@ -209,14 +209,12 @@ let run () =
   let check name cond =
     if cond then incr passed else failures := name :: !failures
   in
-  let all_findings = ref [] in
   List.iter
     (fun c ->
       (match
          analyze_snippet ~file:(fixture_basename ~polarity:`Pos c.rule) c.positive
        with
       | Ok r ->
-          all_findings := r.Engine.findings @ !all_findings;
           check
             (Printf.sprintf "%s: positive snippet triggers" c.rule)
             (has_rule c.rule r.Engine.findings)
@@ -250,16 +248,6 @@ let run () =
       check "comment waiver preserves the finding as waived"
         (has_rule "hashtbl-order" r.Engine.waived)
   | Error m -> failures := ("waiver probe does not parse: " ^ m) :: !failures);
-  (* The JSON report of everything we just produced must round-trip. *)
-  let fs = List.sort Finding.compare !all_findings in
-  (match Report.of_json (Report.to_json ~waived:fs fs) with
-  | Ok (fs', ws') ->
-      check "JSON report round-trips" (fs' = fs && ws' = fs)
-  | Error m -> failures := ("JSON round-trip failed: " ^ m) :: !failures);
-  (match Report.of_sarif (Report.to_sarif ~waived:fs fs) with
-  | Ok (fs', ws') ->
-      check "SARIF report round-trips" (fs' = fs && ws' = fs)
-  | Error m -> failures := ("SARIF round-trip failed: " ^ m) :: !failures);
   (* The bounded-interleaving harness: the real deque must pass the
      quick configurations, and the seeded-bug variant must fail at
      least one — otherwise the harness has lost its teeth. *)

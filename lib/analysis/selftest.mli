@@ -23,6 +23,6 @@ val fixture_basename : polarity:[ `Pos | `Neg ] -> string -> string
     ["hashtbl_order_pos.ml"]. *)
 
 val run : unit -> (int, string list) result
-(** Run every case plus a JSON round-trip check over the accumulated
-    findings. [Ok n] is the number of checks passed; [Error msgs] lists
+(** Run every case, a comment-waiver probe and the bounded-interleaving
+    checks. [Ok n] is the number of checks passed; [Error msgs] lists
     every failed expectation. *)

@@ -1,7 +1,7 @@
 (* Shared AST helpers for the analysis passes: longident flattening,
-   waiver-attribute parsing, pattern utilities. Factored out of Engine
-   so the atomic-protocol pass (Atomics) and the call-graph builder
-   (Callgraph) speak the same dialect. *)
+   waiver-attribute parsing, pattern utilities, and the one scope-aware
+   walk. Every pass (Engine, Atomics, Raises, Callgraph) speaks this
+   dialect. *)
 
 open Parsetree
 module SS = Set.Make (String)
@@ -180,55 +180,88 @@ let rec is_catch_all p =
   | Ppat_or (a, b) -> is_catch_all a || is_catch_all b
   | _ -> false
 
-(* Walk an expression calling [f lid loc] for every identifier
-   reference whose unqualified name is not bound locally — the scope
-   and shadowing awareness the old char-level linter lacked. Qualified
-   references ([M.x]) are always reported. *)
-let iter_unshadowed_idents ~f root =
-  let shadow : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let count n = Option.value ~default:0 (Hashtbl.find_opt shadow n) in
-  let with_vars vars k =
-    List.iter (fun n -> Hashtbl.replace shadow n (count n + 1)) vars;
-    k ();
-    List.iter (fun n -> Hashtbl.replace shadow n (count n - 1)) vars
-  in
+(* ------------------------------------------------------------------ *)
+(* Scopes                                                              *)
+
+(* The binding table: per name, the payloads of the local bindings in
+   scope, innermost first. A name is shadowed while its stack is
+   non-empty. *)
+type 'a scope = (string, 'a list) Hashtbl.t
+
+let scope () : 'a scope = Hashtbl.create 16
+
+let stack sc n = Option.value ~default:[] (Hashtbl.find_opt sc n)
+
+let bound sc n = stack sc n <> []
+
+let innermost sc n = match stack sc n with v :: _ -> Some v | [] -> None
+
+let push sc n v = Hashtbl.replace sc n (v :: stack sc n)
+
+let pop sc n =
+  match stack sc n with _ :: rest -> Hashtbl.replace sc n rest | [] -> ()
+
+let with_bindings sc binds k =
+  List.iter (fun (n, v) -> push sc n v) binds;
+  let r = k () in
+  List.iter (fun (n, _) -> pop sc n) binds;
+  r
+
+(* The one scope-aware walk. [pre] sees every expression before its
+   children, with [sc] holding the local bindings in scope there. A
+   [let x = rhs] binds [x] to [classify rhs]; every other binder
+   (destructuring lets, [fun], [function]/[match]/[try] cases, [for])
+   binds its pattern variables to [other]. *)
+let scoped_iterator sc ~classify ~other ~pre =
   let open Ast_iterator in
+  let vars p = List.map (fun n -> (n, other)) (pat_vars p) in
+  let bind vb =
+    match vb.pvb_pat.ppat_desc with
+    | Ppat_var { txt; _ } -> [ (txt, classify vb.pvb_expr) ]
+    | _ -> vars vb.pvb_pat
+  in
   let expr it e =
+    pre e;
     let sub e = it.expr it e in
+    let case c =
+      with_bindings sc (vars c.pc_lhs) (fun () ->
+          Option.iter sub c.pc_guard;
+          sub c.pc_rhs)
+    in
     match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> (
-        match txt with
-        | Longident.Lident n when count n > 0 -> ()
-        | _ -> f txt e.pexp_loc)
-    | Pexp_let (rf, vbs, body) ->
-        let vars = List.concat_map (fun vb -> pat_vars vb.pvb_pat) vbs in
-        let visit () = List.iter (fun vb -> sub vb.pvb_expr) vbs in
-        (match rf with
-        | Recursive -> with_vars vars (fun () -> visit (); sub body)
-        | Nonrecursive -> visit (); with_vars vars (fun () -> sub body))
+    | Pexp_let (rf, vbs, body) -> (
+        let binds = List.concat_map bind vbs in
+        let rhs () = List.iter (fun vb -> sub vb.pvb_expr) vbs in
+        match rf with
+        | Recursive ->
+            with_bindings sc binds (fun () ->
+                rhs ();
+                sub body)
+        | Nonrecursive ->
+            rhs ();
+            with_bindings sc binds (fun () -> sub body))
     | Pexp_fun (_, dflt, pat, body) ->
         Option.iter sub dflt;
-        with_vars (pat_vars pat) (fun () -> sub body)
-    | Pexp_function cases ->
-        List.iter
-          (fun c ->
-            with_vars (pat_vars c.pc_lhs) (fun () ->
-                Option.iter sub c.pc_guard;
-                sub c.pc_rhs))
-          cases
+        with_bindings sc (vars pat) (fun () -> sub body)
+    | Pexp_function cases -> List.iter case cases
     | Pexp_match (s, cases) | Pexp_try (s, cases) ->
         sub s;
-        List.iter
-          (fun c ->
-            with_vars (pat_vars c.pc_lhs) (fun () ->
-                Option.iter sub c.pc_guard;
-                sub c.pc_rhs))
-          cases
+        List.iter case cases
     | Pexp_for (pat, a, b, _, body) ->
         sub a;
         sub b;
-        with_vars (pat_vars pat) (fun () -> sub body)
+        with_bindings sc (vars pat) (fun () -> sub body)
     | _ -> default_iterator.expr it e
   in
-  let it = { default_iterator with expr } in
+  { default_iterator with expr }
+
+let iter_unshadowed_idents ~f root =
+  let sc = scope () in
+  let pre e =
+    match e.pexp_desc with
+    | Pexp_ident { txt = Longident.Lident n; _ } when bound sc n -> ()
+    | Pexp_ident { txt; _ } -> f txt e.pexp_loc
+    | _ -> ()
+  in
+  let it = scoped_iterator sc ~classify:ignore ~other:() ~pre in
   it.expr it root

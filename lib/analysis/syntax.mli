@@ -2,8 +2,8 @@
 
     Everything here is purely syntactic: longident flattening, waiver
     attribute parsing ([[@th.allow "..."]], [[@th.atomic "..."]]),
-    pattern variable/constructor collection, and a scope-aware
-    identifier iterator. *)
+    pattern variable/constructor collection, and the one scope-aware
+    walk with its binding table. *)
 
 module SS : Set.S with type elt = string
 
@@ -60,6 +60,36 @@ val pat_vars : Parsetree.pattern -> string list
 val pat_constructors : Parsetree.pattern -> string list
 
 val is_catch_all : Parsetree.pattern -> bool
+
+type 'a scope
+(** The binding table: per name, a stack of payloads for the local
+    bindings in scope, innermost first. *)
+
+val scope : unit -> 'a scope
+
+val bound : 'a scope -> string -> bool
+(** Is the name bound locally, i.e. does it shadow top-level names? *)
+
+val innermost : 'a scope -> string -> 'a option
+
+val push : 'a scope -> string -> 'a -> unit
+
+val pop : 'a scope -> string -> unit
+
+val with_bindings : 'a scope -> (string * 'a) list -> (unit -> 'b) -> 'b
+(** Run the thunk with the bindings pushed, then pop them. *)
+
+val scoped_iterator :
+  'a scope ->
+  classify:(Parsetree.expression -> 'a) ->
+  other:'a ->
+  pre:(Parsetree.expression -> unit) ->
+  Ast_iterator.iterator
+(** The one scope-aware walk. [pre] sees every expression before its
+    children, while the scope holds the local bindings in force there.
+    [let]/[fun]/[function]/[match]/[try]/[for] push their pattern
+    variables: a [let x = rhs] binds [x] to [classify rhs], every other
+    binder to [other]. Structure-level bindings are not pushed. *)
 
 val iter_unshadowed_idents :
   f:(Longident.t -> Location.t -> unit) -> Parsetree.expression -> unit

@@ -212,9 +212,6 @@ let tagged_roots t =
     t.tagged;
   Vec.to_list t.tagged
 
-let forget_tagged_root t o =
-  Vec.filter_in_place (fun (x : Obj_.t) -> x != o) t.tagged
-
 (* A degraded compaction left this labelled object in H1. Its original
    root may itself have moved — and self-cleaned off the tagged list —
    so the object re-enters the list to drive the retry at the next major
@@ -629,8 +626,6 @@ let recompute_card_states t ~major =
 
 let device t = t.device
 
-let allocated_regions t = t.next_fresh
-
 let free_region_list t = Vec.to_list t.free_regions
 
 let label_of_region t ~region = t.regions.(region).label
@@ -701,10 +696,6 @@ let iter_objects t f =
     let r = t.regions.(i) in
     if r.label >= 0 then Vec.iter f r.objects
   done
-
-let region_of_object _t (o : Obj_.t) = o.Obj_.h2_region
-
-let region_object_count t ~region = Vec.length t.regions.(region).objects
 
 let stats t =
   let active = ref 0 and used = ref 0 and wasted = ref 0 and deps = ref 0 in

@@ -128,8 +128,6 @@ val clear_move_advice : t -> label:int -> unit
 val tagged_roots : t -> Th_objmodel.Heap_object.t list
 (** Root key-objects tagged but not yet moved, freshest last. *)
 
-val forget_tagged_root : t -> Th_objmodel.Heap_object.t -> unit
-
 val retag_deferred : t -> Th_objmodel.Heap_object.t -> unit
 (** Put a labelled object a degraded compaction left in H1 back on the
     tagged list, so the next major GC retries moving it even when its
@@ -236,10 +234,6 @@ val recompute_card_states : t -> major:bool -> unit
 
 val device : t -> Th_device.Device.t
 
-val allocated_regions : t -> int
-(** Regions ever opened: indices [0 .. allocated_regions - 1] have been in
-    use at least once (some may since have been reclaimed). *)
-
 val free_region_list : t -> int list
 (** Indices of reclaimed regions awaiting reuse. *)
 
@@ -273,10 +267,6 @@ val stats : t -> stats
 val used_bytes : t -> int
 
 val iter_objects : t -> (Th_objmodel.Heap_object.t -> unit) -> unit
-
-val region_of_object : t -> Th_objmodel.Heap_object.t -> int
-
-val region_object_count : t -> region:int -> int
 
 val metadata_bytes : t -> int
 (** Current DRAM metadata: card table + per-region metadata + dependency

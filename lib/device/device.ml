@@ -72,12 +72,9 @@ let params_of_kind = function
         write_bw_gbps = 2.0;
       }
 
-let create ?params ?faults ?(retry = Io_retry.default) clock kind =
-  let params =
-    match params with Some p -> p | None -> params_of_kind kind
-  in
+let create ?faults ?(retry = Io_retry.default) clock kind =
   {
-    params;
+    params = params_of_kind kind;
     clock;
     faults;
     retry;

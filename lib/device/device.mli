@@ -42,17 +42,14 @@ type stats = {
 
 type t
 
-val params_of_kind : kind -> params
-(** Datasheet-derived presets; see DESIGN.md. *)
-
 val create :
-  ?params:params ->
   ?faults:Th_sim.Fault.t ->
   ?retry:Io_retry.policy ->
   Th_sim.Clock.t ->
   kind ->
   t
-(** [create clock kind] is a device charging its accesses to [clock].
+(** [create clock kind] is a device charging its accesses to [clock],
+    with the datasheet-derived preset of [kind] (see DESIGN.md).
     [faults] attaches a fault injector; [retry] overrides the
     {!Io_retry.default} policy. *)
 

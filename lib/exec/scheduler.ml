@@ -33,9 +33,11 @@ type batch_stats = {
 let empty_stats =
   { cells = 0; chunks = 0; steals = 0; steal_scans = 0; cell_wall_s = [||] }
 
+(* Target chunks per domain when all cells are cheap. *)
+let oversubscribe = 4
+
 type t = {
   jobs : int;
-  oversubscribe : int;  (* target chunks per domain when all cells are cheap *)
   mutex : Mutex.t;
   start : Condition.t;  (* batch-start broadcast *)
   quiesced : Condition.t;  (* worker-parked broadcast *)
@@ -136,12 +138,11 @@ let worker t d =
     end
   done
 
-let create ?(oversubscribe = 4) ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Scheduler.create: jobs must be >= 1";
   let t =
     {
       jobs;
-      oversubscribe = max 1 oversubscribe;
       mutex = Mutex.create ();
       start = Condition.create ();
       quiesced = Condition.create ();
@@ -169,7 +170,7 @@ let create ?(oversubscribe = 4) ~jobs () =
    cost (stable on the submission index), packed into chunks no costlier
    than [total / (oversubscribe * jobs)] — an expensive cell always gets
    its own chunk — and capped at [chunk_max] cells. *)
-let plan_chunks ~jobs ~oversubscribe ~chunk_max (costs : float array) =
+let plan_chunks ~jobs ~chunk_max (costs : float array) =
   let n = Array.length costs in
   let order = Array.init n (fun i -> i) in
   Array.sort
@@ -272,8 +273,7 @@ let run_cells ?pin ?(chunk_max = 16) t cells =
       else begin
         let costs = Array.map (fun c -> c.Cell.cost) arr in
         let chunks =
-          plan_chunks ~jobs:t.jobs ~oversubscribe:t.oversubscribe ~chunk_max
-            costs
+          plan_chunks ~jobs:t.jobs ~chunk_max costs
         in
         let per_domain = deal_chunks ~jobs:t.jobs ~pin chunks costs in
         let run_chunk c =

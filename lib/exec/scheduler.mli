@@ -24,11 +24,10 @@ type batch_stats = {
           cost of the batch is the sum of this array *)
 }
 
-val create : ?oversubscribe:int -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs = 1]
     spawns none and {!run_cells} degenerates to an in-order loop).
-    [oversubscribe] (default 4) sets the chunking target of
-    [oversubscribe * jobs] chunks per batch when all cells are cheap.
+    When all cells are cheap, a batch is cut into [4 * jobs] chunks.
     Raises [Invalid_argument] when [jobs < 1]. *)
 
 val jobs : t -> int

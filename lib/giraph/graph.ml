@@ -78,8 +78,6 @@ let load rt ~prng ~partitions ~vertices ~avg_degree ~edge_bytes
   in
   { partitions = parts; total_edges = !total_edges; edge_bytes; store_root }
 
-let edges_bytes_of v = Obj_.total_size v.edges_obj
-
 let iter_vertices t f =
   Array.iter (fun p -> Array.iter (fun v -> f p v) p.vertices) t.partitions
 

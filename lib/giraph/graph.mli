@@ -48,8 +48,6 @@ val load :
     Figure 5 step 1); [on_partition_loaded] runs after each partition
     (the out-of-core scheduler relieves pressure here). *)
 
-val edges_bytes_of : vertex -> int
-
 val iter_vertices : t -> (partition -> vertex -> unit) -> unit
 
 val total_bytes : t -> int

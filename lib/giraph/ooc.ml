@@ -102,9 +102,6 @@ let maybe_offload_list t candidates =
     done
   end
 
-let maybe_offload t (g : Graph.t) =
-  maybe_offload_list t (Array.to_list g.Graph.partitions)
-
 let enforce_budget_list t candidates ~max_resident =
   let resident =
     List.length
@@ -170,10 +167,3 @@ let ensure_resident t (g : Graph.t) (p : Graph.partition) =
       p.Graph.vertices;
     p.Graph.offloaded_edge_bytes <- 0
   end
-
-let offloaded_partitions t (g : Graph.t) =
-  ignore t;
-  Array.fold_left
-    (fun n (p : Graph.partition) ->
-      if p.Graph.offloaded_edge_bytes > 0 then n + 1 else n)
-    0 g.Graph.partitions

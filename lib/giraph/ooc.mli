@@ -23,14 +23,11 @@ val page_cache : t -> Th_device.Page_cache.t
 val note_processed : t -> Graph.partition -> unit
 (** LRU bookkeeping: the partition was just processed. *)
 
-val maybe_offload : t -> Graph.t -> unit
-(** Offload LRU partitions' edges while heap pressure exceeds the
-    threshold (bounded by the pressure excess, since unlinked space only
-    returns at the next collection). *)
-
 val maybe_offload_list : t -> Graph.partition list -> unit
-(** Same, over an explicit candidate list — used during the input
-    superstep while the graph is still being built. *)
+(** Offload the LRU candidates' edges while heap pressure exceeds the
+    threshold (bounded by the pressure excess, since unlinked space only
+    returns at the next collection). Used during the input superstep,
+    while the graph is still being built. *)
 
 val enforce_budget : t -> Graph.t -> max_resident:int -> unit
 (** Giraph's [maxPartitionsInMemory] policy: offload LRU partitions until
@@ -41,5 +38,3 @@ val enforce_budget_list : t -> Graph.partition list -> max_resident:int -> unit
 val ensure_resident : t -> Graph.t -> Graph.partition -> unit
 (** Read an offloaded partition's edges back and re-allocate their byte
     arrays on the heap. No-op for resident partitions. *)
-
-val offloaded_partitions : t -> Graph.t -> int

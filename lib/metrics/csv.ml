@@ -25,46 +25,6 @@ let to_string ~header rows =
 
 let to_channel oc ~header rows = output_string oc (to_string ~header rows)
 
-let fault_header =
-  [
-    "configuration";
-    "outcome";
-    "faults_injected";
-    "read_errors";
-    "write_errors";
-    "spiked_ops";
-    "stalls";
-    "enospc_rejections";
-    "retries";
-    "backoff_s";
-    "penalty_s";
-    "exhausted_retries";
-    "recomputes";
-    "h2_degraded_events";
-    "h2_objects_deferred";
-  ]
-
-let fault_row ~label ~outcome (fs : Fault.stats) =
-  let i = string_of_int in
-  let s ns = Printf.sprintf "%.6f" (ns /. 1e9) in
-  [
-    label;
-    outcome;
-    i (Fault.faults_injected fs);
-    i fs.Fault.read_errors;
-    i fs.Fault.write_errors;
-    i fs.Fault.spiked_ops;
-    i fs.Fault.stalls;
-    i fs.Fault.enospc_rejections;
-    i fs.Fault.retries;
-    s fs.Fault.backoff_ns;
-    s fs.Fault.penalty_ns;
-    i fs.Fault.exhausted_retries;
-    i fs.Fault.recomputes;
-    i fs.Fault.h2_degraded_events;
-    i fs.Fault.h2_objects_deferred;
-  ]
-
 let breakdown_header =
   [ "configuration"; "other_s"; "serde_io_s"; "minor_gc_s"; "major_gc_s"; "total_s" ]
 

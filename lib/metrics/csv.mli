@@ -19,10 +19,3 @@ val breakdown_row :
     ["OOM"] in every time column for failed runs. *)
 
 val breakdown_header : string list
-
-val fault_row :
-  label:string -> outcome:string -> Th_sim.Fault.stats -> string list
-(** One row of fault-injection counters for a run; [outcome] is the
-    run-outcome name ("completed", "degraded", "oom"). *)
-
-val fault_header : string list

@@ -33,12 +33,8 @@ let first_total rows =
     (fun r -> Option.map Clock.total_ns r.breakdown)
     rows
 
-let print_breakdown_table ?normalize_to ~title rows =
-  let base =
-    match normalize_to with
-    | Some x -> x
-    | None -> ( match first_total rows with Some x -> x | None -> 1.0)
-  in
+let print_breakdown_table ~title rows =
+  let base = match first_total rows with Some x -> x | None -> 1.0 in
   let base = if base <= 0.0 then 1.0 else base in
   csv_sink title rows;
   Printf.printf "\n== %s ==\n" title;

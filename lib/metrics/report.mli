@@ -14,11 +14,10 @@ val row : string -> Th_sim.Clock.breakdown -> row
 
 val oom : string -> row
 
-val print_breakdown_table :
-  ?normalize_to:float -> title:string -> row list -> unit
-(** Print rows with per-category fractions, normalized to
-    [normalize_to] (default: the total of the first non-OOM row, as the
-    paper normalizes each plot to its first bar). When the [TH_CSV_DIR]
+val print_breakdown_table : title:string -> row list -> unit
+(** Print rows with per-category fractions, normalized to the total of
+    the first non-OOM row, as the paper normalizes each plot to its
+    first bar. When the [TH_CSV_DIR]
     environment variable names a directory, the raw (un-normalized)
     breakdown is also written there as [<title>.csv]. *)
 

@@ -21,8 +21,10 @@ type t = {
 
 type 'a attempt = Allocated of 'a | Eden_full | Old_full
 
-let create ?(new_ratio = 2) ?(survivor_ratio = 8) ?(tenure_threshold = 3)
-    ?card_size ~heap_bytes () =
+(* Eden is [survivor_ratio] times one survivor space. *)
+let survivor_ratio = 8
+
+let create ?(new_ratio = 2) ?card_size ~heap_bytes () =
   if heap_bytes <= 0 then invalid_arg "H1_heap.create: heap_bytes";
   let young = heap_bytes / (new_ratio + 1) in
   let survivor_capacity = young / (survivor_ratio + 2) in
@@ -41,7 +43,7 @@ let create ?(new_ratio = 2) ?(survivor_ratio = 8) ?(tenure_threshold = 3)
     old_objs = Vec.create ();
     cards = Card_table.create ?card_size ~capacity_bytes:old_capacity ();
     next_id = 0;
-    tenure_threshold;
+    tenure_threshold = 3;
     dead_young_bytes = 0;
     dead_young_count = 0;
   }

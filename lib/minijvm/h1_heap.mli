@@ -47,8 +47,6 @@ type 'a attempt =
 
 val create :
   ?new_ratio:int ->
-  ?survivor_ratio:int ->
-  ?tenure_threshold:int ->
   ?card_size:int ->
   heap_bytes:int ->
   unit ->

@@ -36,8 +36,8 @@ type pick = { root : Obj_.t; cls : move_class; group : int }
     into; defaults to the root's label. Policies that co-locate labels
     (gang placement) return a shared group key. *)
 
-(* Mirror of {!Rt.move_pressure}: the policy library sits below the
-   collector, so it cannot import Rt's type. *)
+(* The collector's pending move policy, decided at the end of the
+   previous major GC; [Th_psgc.Rt.move_pressure] re-exports it. *)
 type pressure = No_pressure | Move_all_tagged | Move_until_low
 
 type ctx = {

@@ -36,8 +36,8 @@ type pick = { root : Obj_.t; cls : move_class; group : int }
     (defaults to the root's label). *)
 
 type pressure = No_pressure | Move_all_tagged | Move_until_low
-(** Mirror of {!Th_psgc.Rt.move_pressure} (the policy library sits
-    below the collector). *)
+(** The collector's pending move policy, decided at the end of the
+    previous major GC; {!Th_psgc.Rt.move_pressure} re-exports it. *)
 
 type ctx = {
   epoch : int;

@@ -33,10 +33,6 @@ let cycles t = Vec.to_list t.cycles
 
 let cycle_count t = Vec.length t.cycles
 
-let last_cycle t =
-  let n = Vec.length t.cycles in
-  if n = 0 then None else Some (Vec.get t.cycles (n - 1))
-
 let count p t = Vec.fold_left (fun n c -> if p c then n + 1 else n) 0 t.cycles
 
 let minor_count t = count (function Minor _ -> true | Major _ -> false) t

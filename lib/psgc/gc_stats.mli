@@ -35,9 +35,6 @@ val cycles : t -> cycle list
 val cycle_count : t -> int
 (** Cycles recorded so far; O(1), for pollers watching for new cycles. *)
 
-val last_cycle : t -> cycle option
-(** Most recently recorded cycle; O(1). *)
-
 val minor_count : t -> int
 
 val major_count : t -> int

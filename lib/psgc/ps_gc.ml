@@ -511,11 +511,7 @@ let major_gc (rt : Rt.t) =
         let ctx =
           {
             Policy.epoch;
-            pressure =
-              (match rt.Rt.pressure with
-              | Rt.No_pressure -> Policy.No_pressure
-              | Rt.Move_all_tagged -> Policy.Move_all_tagged
-              | Rt.Move_until_low -> Policy.Move_until_low);
+            pressure = rt.Rt.pressure;
             live_bytes;
             old_capacity;
             h2;

@@ -31,7 +31,10 @@ type collector = Ps | Ps_jdk11 | G1
 type rset_mode = Card_index | Linear_scan
 
 (* Pending move policy decided at the end of the previous major GC. *)
-type move_pressure = No_pressure | Move_all_tagged | Move_until_low
+type move_pressure = Th_policy.Policy.pressure =
+  | No_pressure
+  | Move_all_tagged
+  | Move_until_low
 
 (* GC safepoints at which an external observer (the Th_verify sanitizer)
    may inspect the heap. The hook lives here, not in Th_verify, so the

@@ -30,8 +30,12 @@ type rset_mode = Card_index | Linear_scan
     sweeps every old-generation object, checking its card — the original
     O(#old objects) implementation, kept as a debug/equivalence oracle. *)
 
-type move_pressure = No_pressure | Move_all_tagged | Move_until_low
-(** Pending move policy decided at the end of the previous major GC. *)
+type move_pressure = Th_policy.Policy.pressure =
+  | No_pressure
+  | Move_all_tagged
+  | Move_until_low
+(** Pending move policy decided at the end of the previous major GC;
+    the placement policies read the same type. *)
 
 type safepoint = Before_minor | After_minor | Before_major | After_major
 (** GC safepoints at which an external observer (the {!Th_verify}

@@ -52,12 +52,6 @@ let breakdown t =
 
 let total_ns b = b.other_ns +. b.serde_io_ns +. b.minor_gc_ns +. b.major_gc_ns
 
-let category_ns b = function
-  | Other -> b.other_ns
-  | Serde_io -> b.serde_io_ns
-  | Minor_gc -> b.minor_gc_ns
-  | Major_gc -> b.major_gc_ns
-
 let sub a b =
   {
     other_ns = a.other_ns -. b.other_ns;

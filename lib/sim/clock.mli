@@ -34,8 +34,6 @@ val breakdown : t -> breakdown
 
 val total_ns : breakdown -> float
 
-val category_ns : breakdown -> category -> float
-
 val sub : breakdown -> breakdown -> breakdown
 (** [sub later earlier] is the per-category difference; used for measuring
     a phase of a run. *)

@@ -491,23 +491,6 @@ let note_h2_degraded t ?(objects = 0) () =
 
 let stats t = t.s
 
-let add_stats a b =
-  {
-    read_errors = a.read_errors + b.read_errors;
-    write_errors = a.write_errors + b.write_errors;
-    spiked_ops = a.spiked_ops + b.spiked_ops;
-    stalls = a.stalls + b.stalls;
-    enospc_rejections = a.enospc_rejections + b.enospc_rejections;
-    retries = a.retries + b.retries;
-    backoff_ns = a.backoff_ns +. b.backoff_ns;
-    penalty_ns = a.penalty_ns +. b.penalty_ns;
-    exhausted_retries = a.exhausted_retries + b.exhausted_retries;
-    watchdog_timeouts = a.watchdog_timeouts + b.watchdog_timeouts;
-    recomputes = a.recomputes + b.recomputes;
-    h2_degraded_events = a.h2_degraded_events + b.h2_degraded_events;
-    h2_objects_deferred = a.h2_objects_deferred + b.h2_objects_deferred;
-  }
-
 let faults_injected s =
   s.read_errors + s.write_errors + s.spiked_ops + s.stalls
   + s.enospc_rejections

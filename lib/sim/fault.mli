@@ -177,8 +177,6 @@ val note_h2_degraded : t -> ?objects:int -> unit -> unit
 
 val stats : t -> stats
 
-val add_stats : stats -> stats -> stats
-
 val faults_injected : stats -> int
 (** Total faults of any kind injected (reads + writes + spikes + stalls +
     ENOSPC rejections). *)

@@ -51,8 +51,6 @@ let create (ctx : Context.t) =
     held = [];
   }
 
-let root_object t = t.root
-
 let block_instant t ~cat ~name ~rdd_id ~pidx =
   let clock = Runtime.clock t.ctx.Context.rt in
   match Clock.tracer clock with
@@ -200,7 +198,5 @@ let unpersist t ~rdd_id =
       | E_off_heap _ -> ());
       Hashtbl.remove t.table key)
     doomed
-
-let onheap_used t = t.onheap_bytes
 
 let cached_blocks t = Hashtbl.length t.table

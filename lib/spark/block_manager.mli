@@ -11,8 +11,6 @@ type t
 
 val create : Context.t -> t
 
-val root_object : t -> Th_objmodel.Heap_object.t
-
 val put :
   t ->
   rdd_id:int ->
@@ -46,7 +44,5 @@ val entry_kind : t -> rdd_id:int -> pidx:int -> entry_kind option
 val unpersist : t -> rdd_id:int -> unit
 (** Drop all blocks of an RDD: on-heap and H2 groups become unreachable;
     off-heap bytes are forgotten. *)
-
-val onheap_used : t -> int
 
 val cached_blocks : t -> int

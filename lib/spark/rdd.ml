@@ -61,8 +61,6 @@ let build_partition ctx t =
   Runtime.compute rt ~bytes:(partition_bytes t);
   root
 
-let iter_elements _ctx root ~f = Obj_.iter_refs f root
-
 let read_partition ctx root =
   let rt = Context.runtime ctx in
   Runtime.read_obj rt root;

@@ -58,11 +58,6 @@ val build_partition : Context.t -> t -> Th_objmodel.Heap_object.t
     {!Th_psgc.Runtime.remove_root} it once anchored (e.g. cached in the
     block manager) or abandoned. *)
 
-val iter_elements :
-  Context.t -> Th_objmodel.Heap_object.t ->
-  f:(Th_objmodel.Heap_object.t -> unit) -> unit
-(** Visit the element objects of a materialised partition group. *)
-
 val read_partition : Context.t -> Th_objmodel.Heap_object.t -> unit
 (** Touch every element (streaming read: compute + page faults if the
     group lives in H2). *)

@@ -13,8 +13,9 @@ let alloc_garbage ctx ~bytes =
 
 let shuffle_chunk_bytes = Size.kib 64
 
-let run ctx ?(shuffle_bytes = 0) ?(transient_bytes = 0)
-    ?(thread_buffer_bytes = Size.kib 128) ~work () =
+let thread_buffer_bytes = Size.kib 128
+
+let run ctx ?(shuffle_bytes = 0) ?(transient_bytes = 0) ~work () =
   let rt = Context.runtime ctx in
   let clock = Runtime.clock rt in
   (match Clock.tracer clock with

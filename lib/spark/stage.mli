@@ -11,14 +11,13 @@ val run :
   Context.t ->
   ?shuffle_bytes:int ->
   ?transient_bytes:int ->
-  ?thread_buffer_bytes:int ->
   work:(unit -> unit) ->
   unit ->
   unit
-(** [run ctx ~work ()] pins one [thread_buffer_bytes] buffer per mutator
-    thread (default 256 KiB), executes [work], charges the shuffle S/D
-    stream, allocates [transient_bytes] of immediately-dead records, and
-    unpins the buffers. *)
+(** [run ctx ~work ()] pins one 128 KiB buffer per mutator thread,
+    executes [work], charges the shuffle S/D stream, allocates
+    [transient_bytes] of immediately-dead records, and unpins the
+    buffers. *)
 
 val alloc_garbage : Context.t -> bytes:int -> unit
 (** Allocate short-lived objects totalling [bytes] that die immediately. *)

@@ -12,17 +12,6 @@ module Heap_census = Th_psgc.Heap_census
 
 type level = Off | Safepoint | Paranoid
 
-let level_of_string = function
-  | "off" -> Some Off
-  | "safepoint" -> Some Safepoint
-  | "paranoid" -> Some Paranoid
-  | _ -> None
-
-let level_to_string = function
-  | Off -> "off"
-  | Safepoint -> "safepoint"
-  | Paranoid -> "paranoid"
-
 type rule =
   | Rset_completeness
   | H2_card_legality

@@ -36,10 +36,6 @@ type level =
   | Safepoint  (** all structural rules at every GC safepoint *)
   | Paranoid  (** [Safepoint] plus the full reachability census *)
 
-val level_of_string : string -> level option
-
-val level_to_string : level -> string
-
 type rule =
   | Rset_completeness
   | H2_card_legality

@@ -250,20 +250,55 @@ let test_waiver_attribute_fixture () =
           (fun f -> String.equal f.Finding.rule "obj-magic")
           r.Engine.waived))
 
-(* qcheck: for EVERY rule's positive snippet, a file-level
-   [@@@th.allow] waiver moves all of that rule's findings to the waived
-   list — none reach the reporter, none are lost. *)
+(* qcheck: for EVERY rule's positive snippet and both attribute
+   channels -- a file-level [@@@th.allow], or a [@@th.allow] that a
+   mapper adds to every value binding -- the waiver moves all of that
+   rule's findings to the waived list: none reach the reporter, none
+   are lost. Every positive snippet reports its findings inside some
+   value binding, so the binding channel needs no exceptions. *)
+let allow_every_binding rule =
+  let open Ast_mapper in
+  let attr =
+    Ast_helper.Attr.mk (Location.mknoloc "th.allow")
+      (Parsetree.PStr
+         [
+           Ast_helper.Str.eval
+             (Ast_helper.Exp.constant (Ast_helper.Const.string rule));
+         ])
+  in
+  let value_binding m vb =
+    default_mapper.value_binding m
+      { vb with Parsetree.pvb_attributes = attr :: vb.Parsetree.pvb_attributes }
+  in
+  let m = { default_mapper with value_binding } in
+  m.structure m
+
 let prop_waived_never_reported =
-  QCheck.Test.make ~count:50 ~name:"file-level waiver diverts every finding"
-    (QCheck.int_range 0 (List.length Selftest.cases - 1))
-    (fun i ->
+  QCheck.Test.make ~count:500
+    ~name:
+      "file-level waiver diverts every finding, and so does a binding waiver"
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (int_range 0 (List.length Selftest.cases - 1))
+           (oneofl [ `File; `Binding ])))
+    (fun (i, channel) ->
       let c = List.nth Selftest.cases i in
       let src =
-        Printf.sprintf "[@@@th.allow %S]\n%s" c.rule c.positive
+        match channel with
+        | `File -> Printf.sprintf "[@@@th.allow %S]\n%s" c.rule c.positive
+        | `Binding -> c.positive
       in
       match Source.parse_string ~file:"waived_probe.ml" src with
       | Error m -> QCheck.Test.fail_reportf "probe does not parse: %s" m
       | Ok s ->
+          let s =
+            match (channel, s.Source.ast) with
+            | `Binding, Source.Structure str ->
+                let str = allow_every_binding c.rule str in
+                { s with Source.ast = Source.Structure str }
+            | _ -> s
+          in
           let r = Engine.analyze [ s ] in
           (not (has_rule c.rule r.Engine.findings))
           && has_rule c.rule r.Engine.waived)
@@ -299,84 +334,85 @@ let prop_domain_shared_diverts =
           else reported && not waived)
 
 (* ------------------------------------------------------------------ *)
-(* JSON round-trip                                                     *)
+(* Report bytes                                                        *)
 
-let arbitrary_finding =
-  let open QCheck.Gen in
-  let str = string_size ~gen:(char_range '\x01' '\xff') (int_range 0 20) in
-  let gen =
-    str >>= fun file ->
-    int_range 0 100_000 >>= fun line ->
-    int_range 0 500 >>= fun col ->
-    oneofl (List.map (fun (r : Rule.t) -> r.name) Rule.all) >>= fun rule ->
-    oneofl [ Finding.Error; Finding.Warning ] >>= fun severity ->
-    str >>= fun message ->
-    return { Finding.file; line; col; rule; severity; message }
-  in
-  QCheck.make gen
+(* The writers' exact output, on findings whose file and message pass
+   through every branch of the JSON string escaper: quote, backslash,
+   newline, carriage return, tab, another control byte (as \u00XX) and
+   a byte at or above 0x80 (copied through). *)
+let escapes = "q\"b\\n\nr\rt\tc\x01u\xc3\xa9"
 
-let prop_json_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"JSON report round-trips"
-    QCheck.(pair (small_list arbitrary_finding) (small_list arbitrary_finding))
-    (fun (findings, waived) ->
-      match Report.of_json (Report.to_json ~waived findings) with
-      | Ok (fs, ws) -> fs = findings && ws = waived
-      | Error m -> QCheck.Test.fail_reportf "of_json failed: %s" m)
+let escaped = "q\\\"b\\\\n\\nr\\rt\\tc\\u0001u\xc3\xa9"
 
-(* ------------------------------------------------------------------ *)
-(* SARIF                                                               *)
+let report_finding rule line severity =
+  {
+    Finding.file = "lib/" ^ escapes ^ ".ml";
+    line;
+    col = 4;
+    rule;
+    severity;
+    message = "probe " ^ escapes;
+  }
 
-let prop_sarif_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"SARIF report round-trips"
-    QCheck.(pair (small_list arbitrary_finding) (small_list arbitrary_finding))
-    (fun (findings, waived) ->
-      match Report.of_sarif (Report.to_sarif ~waived findings) with
-      | Ok (fs, ws) -> fs = findings && ws = waived
-      | Error m -> QCheck.Test.fail_reportf "of_sarif failed: %s" m)
+let test_json_bytes () =
+  Alcotest.(check string)
+    "to_json bytes"
+    ("{\"version\":1,\n\"findings\":[{\"file\":\"lib/" ^ escaped
+   ^ ".ml\",\"line\":3,\"col\":4,\"rule\":\"escape-capture\",\"severity\":\"error\",\"message\":\"probe "
+   ^ escaped
+   ^ "\"}],\n\"waived\":[{\"file\":\"lib/" ^ escaped
+   ^ ".ml\",\"line\":9,\"col\":4,\"rule\":\"atomic-plain-write\",\"severity\":\"warning\",\"message\":\"probe "
+   ^ escaped ^ "\"}]}\n")
+    (Report.to_json
+       ~waived:[ report_finding "atomic-plain-write" 9 Finding.Warning ]
+       [ report_finding "escape-capture" 3 Finding.Error ])
 
 let test_sarif_shape () =
-  let f rule line =
-    {
-      Finding.file = "lib/exec/deque.ml";
-      line;
-      col = 4;
-      rule;
-      severity = Finding.Error;
-      message = "probe";
-    }
-  in
   let doc =
     Report.to_sarif
-      ~waived:[ f "atomic-plain-write" 9 ]
-      [ f "escape-capture" 3 ]
+      ~waived:[ report_finding "atomic-plain-write" 9 Finding.Warning ]
+      [ report_finding "escape-capture" 3 Finding.Error ]
   in
+  let result ~rule ~level ~line ~suppressed =
+    "{\"ruleId\":\"" ^ rule ^ "\",\"level\":\"" ^ level
+    ^ "\",\"message\":{\"text\":\"probe " ^ escaped
+    ^ "\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"lib/"
+    ^ escaped ^ ".ml\"},\"region\":{\"startLine\":" ^ line
+    (* 0-based finding col 4 becomes 1-based SARIF startColumn 5 *)
+    ^ ",\"startColumn\":5}}}]"
+    (* the waived finding is suppressed, not dropped *)
+    ^ (if suppressed then ",\"suppressions\":[{\"kind\":\"inSource\"}]" else "")
+    ^ "}"
+  in
+  let header =
+    "{\"version\":\"2.1.0\",\n\
+     \"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\n\
+     \"runs\":[{\"tool\":{\"driver\":{\"name\":\"th-lint\",\"rules\":["
+  in
+  let results_at = "]}},\n\"results\":[" in
+  let hl = String.length header and dl = String.length doc in
+  Alcotest.(check string) "SARIF header bytes" header (String.sub doc 0 hl);
+  let rec find i =
+    if i + String.length results_at > dl then
+      Alcotest.fail "SARIF output lacks a results array"
+    else if String.sub doc i (String.length results_at) = results_at then i
+    else find (i + 1)
+  in
+  let r = find hl + String.length results_at in
+  Alcotest.(check string) "SARIF results bytes"
+    (result ~rule:"escape-capture" ~level:"error" ~line:"3" ~suppressed:false
+    ^ ",\n"
+    ^ result ~rule:"atomic-plain-write" ~level:"warning" ~line:"9"
+        ~suppressed:true
+    ^ "]}]}\n")
+    (String.sub doc r (dl - r));
+  (* rule metadata: every registered rule is listed in the driver *)
   List.iter
-    (fun needle ->
+    (fun (rule : Rule.t) ->
+      let needle = Printf.sprintf "{\"id\":\"%s\"" rule.name in
       if not (contains_sub doc needle) then
         Alcotest.failf "SARIF output lacks %S" needle)
-    [
-      "\"version\":\"2.1.0\"";
-      "\"name\":\"th-lint\"";
-      (* rule metadata: every registered rule is listed in the driver *)
-      "\"id\":\"escape-capture\"";
-      "\"id\":\"atomic-check-then-act\"";
-      (* 0-based finding col 4 becomes 1-based SARIF startColumn 5 *)
-      "\"startColumn\":5";
-      (* the waived finding is suppressed, not dropped *)
-      "\"suppressions\"";
-      "\"kind\":\"inSource\"";
-    ];
-  (* exactly one result carries a suppression *)
-  let count_sub hay needle =
-    let nl = String.length needle in
-    let rec go i acc =
-      if i + nl > String.length hay then acc
-      else if String.sub hay i nl = needle then go (i + 1) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  Alcotest.(check int) "one suppressed result" 1 (count_sub doc "suppressions")
+    Rule.all
 
 (* ------------------------------------------------------------------ *)
 (* CLI contract pieces that live in the library                        *)
@@ -540,8 +576,7 @@ let suite =
       test_waiver_attribute_fixture;
     QCheck_alcotest.to_alcotest prop_waived_never_reported;
     QCheck_alcotest.to_alcotest prop_domain_shared_diverts;
-    QCheck_alcotest.to_alcotest prop_json_roundtrip;
-    QCheck_alcotest.to_alcotest prop_sarif_roundtrip;
+    Alcotest.test_case "JSON report bytes" `Quick test_json_bytes;
     Alcotest.test_case "SARIF document shape" `Quick test_sarif_shape;
     Alcotest.test_case "seeded regression: unguarded block manager rejected"
       `Quick test_block_manager_regression;
