@@ -632,28 +632,15 @@ let label_of_region t ~region = t.regions.(region).label
 
 let in_same_group t ~a ~b = uf_find t a = uf_find t b
 
-type region_view = {
-  view_idx : int;
-  view_label : int;
-  view_top : int;
-  view_live : bool;
-  view_deps : int list;
-  view_objects : Obj_.t Vec.t;
-}
+let opened_regions t = t.next_fresh
 
-let iter_region_views t f =
-  for i = 0 to t.next_fresh - 1 do
-    let r = t.regions.(i) in
-    f
-      {
-        view_idx = r.idx;
-        view_label = r.label;
-        view_top = r.top;
-        view_live = r.live;
-        view_deps = r.deps;
-        view_objects = r.objects;
-      }
-  done
+let region_top t ~region = t.regions.(region).top
+
+let region_live t ~region = t.regions.(region).live
+
+let region_deps t ~region = t.regions.(region).deps
+
+let region_objects t ~region = t.regions.(region).objects
 
 (* Corruption plant for the sanitizer's mutation tests: silently drop a
    dependency edge, leaving the heap exactly as a protocol bug would. *)

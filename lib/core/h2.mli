@@ -243,20 +243,26 @@ val label_of_region : t -> region:int -> int
 val in_same_group : t -> a:int -> b:int -> bool
 (** Whether two regions share a Union-Find group ([Region_groups] mode). *)
 
-type region_view = {
-  view_idx : int;
-  view_label : int;  (** -1 = free *)
-  view_top : int;
-  view_live : bool;
-  view_deps : int list;
-  view_objects : Th_objmodel.Heap_object.t Th_sim.Vec.t;
-      (** the live backing vector — callers must not mutate it *)
-}
-(** Read-only snapshot of one region's metadata, for external invariant
-    checking ({!Th_verify}). *)
+(** {2 Per-region metadata by index}
 
-val iter_region_views : t -> (region_view -> unit) -> unit
-(** Visit every ever-opened region, free ones included, in index order. *)
+    Read-only access for external invariant checking ({!Th_verify}),
+    without building a record per region. *)
+
+val opened_regions : t -> int
+(** Regions ever opened: indices [0] to [opened_regions t - 1], free ones
+    included. *)
+
+val region_top : t -> region:int -> int
+(** The region's allocation pointer (0 once reclaimed). *)
+
+val region_live : t -> region:int -> bool
+
+val region_deps : t -> region:int -> int list
+(** Regions this region's objects reference ([Dependency_lists] mode). *)
+
+val region_objects : t -> region:int -> Th_objmodel.Heap_object.t Th_sim.Vec.t
+(** The region's address-ordered object vector: the live backing store,
+    which callers must not mutate. *)
 
 val debug_remove_dependency : t -> src_region:int -> dst_region:int -> unit
 (** Test-only corruption plant: silently drop a dependency edge so the

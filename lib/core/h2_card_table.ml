@@ -10,7 +10,13 @@ type t = {
   segment_size : int;
   stripe_aligned : bool;
   stripe_size : int;
-  cards : Bytes.t;
+  num_segments : int;
+  (* State bytes for a prefix of the [num_segments] segments, grown by
+     doubling when a segment past it is written: a segment beyond the
+     prefix is clean, so a fresh table touches no memory it has not
+     needed. Every bounds check a fully sized table would make is the
+     coverage check here. *)
+  mutable cards : Bytes.t;
   mutable non_clean : int;
   mutable on_transition :
     (seg:int -> before:state -> after:state -> event -> unit) option;
@@ -33,13 +39,16 @@ let state_of_byte = function
 let create ?(segment_size = 4096) ?(stripe_aligned = true)
     ?(stripe_size = 0) ~capacity_bytes () =
   if segment_size <= 0 then invalid_arg "H2_card_table.create: segment_size";
-  let n = max 1 ((capacity_bytes + segment_size - 1) / segment_size) in
+  let num_segments =
+    max 1 ((capacity_bytes + segment_size - 1) / segment_size)
+  in
   let stripe_size = if stripe_size <= 0 then capacity_bytes else stripe_size in
   {
     segment_size;
     stripe_aligned;
     stripe_size;
-    cards = Bytes.make n '\000';
+    num_segments;
+    cards = Bytes.empty;
     non_clean = 0;
     on_transition = None;
     trace_clock = None;
@@ -91,15 +100,37 @@ let notify t ~seg ~before ~after ev =
 
 let segment_size t = t.segment_size
 
-let num_segments t = Bytes.length t.cards
+let num_segments t = t.num_segments
+
+(* What a fully sized table raises for an address or a segment index
+   outside it. *)
+let address_error = "H2_card_table.segment_of: address out of range"
+
+let index_error = "index out of bounds"
 
 let segment_of t ~gaddr =
   let s = gaddr / t.segment_size in
-  if s < 0 || s >= Bytes.length t.cards then
-    invalid_arg "H2_card_table.segment_of: address out of range";
+  if s < 0 || s >= t.num_segments then invalid_arg address_error;
   s
 
-let state t ~seg = state_of_byte (Bytes.get t.cards seg)
+(* Cold path of the coverage checks: widen the covered prefix to segment
+   [seg], or raise [error] for a segment outside the table. *)
+let cover t seg error =
+  if seg < 0 || seg >= t.num_segments then invalid_arg error;
+  let len = Bytes.length t.cards in
+  let n = min t.num_segments (max (seg + 1) (max 64 (2 * len))) in
+  let cards = Bytes.make n '\000' in
+  Bytes.blit t.cards 0 cards 0 len;
+  t.cards <- cards
+
+(* [Bytes.get]'s own bounds check doubles as the coverage check: only a
+   read outside the prefix takes the handler. *)
+let state t ~seg =
+  match Bytes.get t.cards seg with
+  | b -> state_of_byte b
+  | exception Invalid_argument _ ->
+      if seg < 0 || seg >= t.num_segments then invalid_arg index_error;
+      Clean
 
 (* In the unaligned (vanilla) layout, the first and last card of each
    stripe may be touched by two GC threads, so the collector never cleans
@@ -109,14 +140,18 @@ let is_boundary t seg =
   let pos = seg mod segs_per_stripe in
   pos = 0 || pos = segs_per_stripe - 1
 
-let raw_set t seg st =
-  let before = Bytes.get t.cards seg in
-  let after = byte_of_state st in
+(* [seg] must be covered. *)
+let set_covered t seg after =
+  let before = Bytes.unsafe_get t.cards seg in
   if before <> after then begin
     if before = '\000' then t.non_clean <- t.non_clean + 1;
     if after = '\000' then t.non_clean <- t.non_clean - 1;
-    Bytes.set t.cards seg after
+    Bytes.unsafe_set t.cards seg after
   end
+
+let raw_set t seg st =
+  if seg < 0 || seg >= Bytes.length t.cards then cover t seg index_error;
+  set_covered t seg (byte_of_state st)
 
 let set_state t ~seg st =
   let before = state t ~seg in
@@ -127,9 +162,10 @@ let set_state t ~seg st =
   notify t ~seg ~before ~after:(state t ~seg) (Recompute st)
 
 let mark_dirty t ~gaddr =
-  let seg = segment_of t ~gaddr in
-  let before = state t ~seg in
-  raw_set t seg Dirty;
+  let seg = gaddr / t.segment_size in
+  if seg < 0 || seg >= Bytes.length t.cards then cover t seg address_error;
+  let before = state_of_byte (Bytes.unsafe_get t.cards seg) in
+  set_covered t seg (byte_of_state Dirty);
   notify t ~seg ~before ~after:Dirty Barrier_dirty
 
 let iter_scan ~include_old t ~lo ~hi f =
@@ -156,4 +192,4 @@ let clear_range t ~lo ~hi =
 
 let non_clean_count t = t.non_clean
 
-let metadata_bytes t = Bytes.length t.cards
+let metadata_bytes t = t.num_segments

@@ -13,7 +13,13 @@
     size = region size, objects never span regions), boundary cards behave
     like any other card. Without it (vanilla-JVM behaviour), a boundary
     card that ever becomes dirty is never cleaned and is re-scanned by
-    every GC. *)
+    every GC.
+
+    The state bytes are sized on first use: {!num_segments} and
+    {!metadata_bytes} report the logical table, fixed at creation, while
+    the bytes cover only a prefix that doubles when a write reaches past
+    it. A segment beyond the prefix reads [Clean]; the prefix is
+    unobservable except in host memory. *)
 
 type state = Clean | Dirty | Young_gen | Old_gen
 
@@ -39,6 +45,7 @@ val create :
 val segment_size : t -> int
 
 val num_segments : t -> int
+(** The logical segment count, however much of the table is covered. *)
 
 val segment_of : t -> gaddr:int -> int
 (** Segment index of a global H2 address. *)
@@ -81,4 +88,5 @@ val set_trace_clock : t -> Th_sim.Clock.t option -> unit
 val non_clean_count : t -> int
 
 val metadata_bytes : t -> int
-(** DRAM footprint of the table itself (one byte per segment). *)
+(** DRAM footprint of the modelled table (one byte per logical
+    segment). *)

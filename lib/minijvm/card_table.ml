@@ -1,6 +1,10 @@
 type t = {
   card_size : int;
-  cards : Bytes.t;
+  num_cards : int;
+  (* Dirty bytes for a prefix of the [num_cards] cards, grown by
+     doubling when a card past it is dirtied: a card beyond the prefix
+     is clean, so a fresh table touches no memory it has not needed. *)
+  mutable cards : Bytes.t;
   mutable dirty : int;
   (* Object-start index (HotSpot's block-offset table, at card grain):
      [starts.(c)] is the position in the address-sorted [old_objs] of the
@@ -16,10 +20,11 @@ type t = {
 
 let create ?(card_size = 512) ~capacity_bytes () =
   if card_size <= 0 then invalid_arg "Card_table.create: card_size";
-  let n = max 1 ((capacity_bytes + card_size - 1) / card_size) in
+  let num_cards = max 1 ((capacity_bytes + card_size - 1) / card_size) in
   {
     card_size;
-    cards = Bytes.make n '\000';
+    num_cards;
+    cards = Bytes.empty;
     dirty = 0;
     starts = [||];
     indexed_cards = 0;
@@ -28,22 +33,41 @@ let create ?(card_size = 512) ~capacity_bytes () =
 
 let card_size t = t.card_size
 
-let num_cards t = Bytes.length t.cards
+let num_cards t = t.num_cards
+
+let address_error = "Card_table.card_of_addr: address out of range"
 
 let card_of_addr t addr =
   let c = addr / t.card_size in
-  if c < 0 || c >= Bytes.length t.cards then
-    invalid_arg "Card_table.card_of_addr: address out of range";
+  if c < 0 || c >= t.num_cards then invalid_arg address_error;
   c
 
+(* Cold path of [mark_dirty]: widen the covered prefix to card [c], or
+   raise what a fully sized table raises for a card outside it. *)
+let cover t c =
+  if c < 0 || c >= t.num_cards then invalid_arg address_error;
+  let len = Bytes.length t.cards in
+  let n = min t.num_cards (max (c + 1) (max 64 (2 * len))) in
+  let cards = Bytes.make n '\000' in
+  Bytes.blit t.cards 0 cards 0 len;
+  t.cards <- cards
+
 let mark_dirty t ~addr =
-  let c = card_of_addr t addr in
+  let c = addr / t.card_size in
+  if c < 0 || c >= Bytes.length t.cards then cover t c;
   if Bytes.unsafe_get t.cards c = '\000' then begin
     Bytes.unsafe_set t.cards c '\001';
     t.dirty <- t.dirty + 1
   end
 
-let is_dirty t ~card = Bytes.get t.cards card <> '\000'
+(* Reads past the covered prefix are clean; past the table they raise
+   the bounds error a fully sized table would. *)
+let is_dirty t ~card =
+  if card < Bytes.length t.cards then Bytes.get t.cards card <> '\000'
+  else begin
+    if card < 0 || card >= t.num_cards then invalid_arg "index out of bounds";
+    false
+  end
 
 let dirty_count t = t.dirty
 
@@ -52,7 +76,7 @@ let clear_all t =
   t.dirty <- 0
 
 let clear_card t ~card =
-  if Bytes.get t.cards card <> '\000' then begin
+  if is_dirty t ~card then begin
     Bytes.set t.cards card '\000';
     t.dirty <- t.dirty - 1
   end

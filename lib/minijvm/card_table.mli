@@ -17,7 +17,12 @@
     sweeping the whole old generation. The index is fed in address order
     ({!note_object_start}) and grows on demand. Dirtiness and membership
     are orthogonal: {!clear_all} clears dirty bits only, {!reset_index}
-    empties the index. *)
+    empties the index.
+
+    The dirty bytes are sized on first use: {!num_cards} is the logical
+    size, fixed at creation, while the bytes cover only a prefix that
+    doubles when {!mark_dirty} reaches past it. A card beyond the prefix
+    reads clean, so the prefix is unobservable except in host memory. *)
 
 type t
 
@@ -27,8 +32,10 @@ val create : ?card_size:int -> capacity_bytes:int -> unit -> t
 val card_size : t -> int
 
 val num_cards : t -> int
+(** The logical card count, however much of the table is covered. *)
 
 val card_of_addr : t -> int -> int
+(** Raises [Invalid_argument] for an address outside the table. *)
 
 val mark_dirty : t -> addr:int -> unit
 

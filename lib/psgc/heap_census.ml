@@ -11,27 +11,46 @@ let kind_name = function
   | Obj_.Weak_reference -> "weak-ref"
   | Obj_.Temp -> "temp"
 
+(* Counts go into two arrays indexed by kind, so a census allocates
+   nothing per object. *)
+let kinds =
+  Obj_.[ Data; Array_data; Jvm_metadata; Weak_reference; Temp ]
+
+let kind_index = function
+  | Obj_.Data -> 0
+  | Obj_.Array_data -> 1
+  | Obj_.Jvm_metadata -> 2
+  | Obj_.Weak_reference -> 3
+  | Obj_.Temp -> 4
+
+let count_space counts bytes vec =
+  for i = 0 to Vec.length vec - 1 do
+    let o : Obj_.t = Vec.get vec i in
+    let k = kind_index o.Obj_.kind in
+    counts.(k) <- counts.(k) + 1;
+    bytes.(k) <- bytes.(k) + Obj_.total_size o
+  done
+
 let of_runtime (rt : Rt.t) =
   let heap = rt.Rt.heap in
-  let acc : (Obj_.kind, int * int) Hashtbl.t = Hashtbl.create 8 in
-  let add kind ~count ~bytes =
-    let c, b =
-      match Hashtbl.find_opt acc kind with Some cb -> cb | None -> (0, 0)
-    in
-    Hashtbl.replace acc kind (c + count, b + bytes)
-  in
-  let visit (o : Obj_.t) = add o.Obj_.kind ~count:1 ~bytes:(Obj_.total_size o) in
-  Vec.iter visit heap.H1_heap.eden;
-  Vec.iter visit heap.H1_heap.survivor;
-  Vec.iter visit heap.H1_heap.old_objs;
+  let counts = Array.make (List.length kinds) 0 in
+  let bytes = Array.make (List.length kinds) 0 in
+  count_space counts bytes heap.H1_heap.eden;
+  count_space counts bytes heap.H1_heap.survivor;
+  count_space counts bytes heap.H1_heap.old_objs;
   (* Dead-on-arrival allocations are [Temp] objects without records. *)
-  if heap.H1_heap.dead_young_count > 0 then
-    add Obj_.Temp ~count:heap.H1_heap.dead_young_count
-      ~bytes:heap.H1_heap.dead_young_bytes;
-  (* Order-insensitive: the fold only accumulates; the sort below fixes
-     the order, with the kind name breaking byte-count ties so the result
-     never depends on hash iteration. th-lint: allow hashtbl-order *)
-  Hashtbl.fold (fun kind (count, bytes) l -> { kind; count; bytes } :: l) acc []
+  if heap.H1_heap.dead_young_count > 0 then begin
+    let temp = kind_index Obj_.Temp in
+    counts.(temp) <- counts.(temp) + heap.H1_heap.dead_young_count;
+    bytes.(temp) <- bytes.(temp) + heap.H1_heap.dead_young_bytes
+  end;
+  (* The kind name breaks byte-count ties, so the order is total. *)
+  List.filter_map
+    (fun kind ->
+      let k = kind_index kind in
+      if counts.(k) = 0 then None
+      else Some { kind; count = counts.(k); bytes = bytes.(k) })
+    kinds
   |> List.sort (fun a b ->
          match Int.compare b.bytes a.bytes with
          | 0 -> String.compare (kind_name a.kind) (kind_name b.kind)

@@ -1,10 +1,12 @@
-(** JFR-style flight recorder: a preallocated ring buffer of events.
+(** JFR-style flight recorder: a ring buffer of events.
 
     A recorder belongs to one lane (one simulated runtime stack). The
-    slot array is allocated up front, so steady-state recording never
-    grows the heap: when the buffer is full the oldest events are
-    overwritten, keeping the most recent window of the run — the flight-
-    recorder discipline. [dropped] reports how many events fell out of
+    slot array starts at 1024 slots (fewer if the capacity is smaller)
+    and doubles on demand until it holds the capacity, so a short run
+    never pays for the full ring. From then on recording never grows
+    the heap: when the buffer is full the oldest events are overwritten,
+    keeping the most recent window of the run — the flight-recorder
+    discipline. [dropped] reports how many events fell out of
     the window; exact stream analyses ({!Rollup}) require it to be zero,
     so size the buffer for the run (the default holds 2^18 events).
 

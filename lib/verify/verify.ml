@@ -64,14 +64,29 @@ type t = {
      [Counters] / {!Th_trace.Snapshot} so the trace rollup checks the
      same counters the sanitizer watches. *)
   mutable last : Th_trace.Snapshot.t option;
+  (* One walk over H2 evaluates the H2 halves of rules 2-4 together.
+     Each rule writes to its own buffer, emptied at every check, and the
+     buffers are appended in rule order, so the violation list reads as
+     if each rule had walked H2 on its own. *)
+  h2_cards : violation Vec.t;
+  h2_deps : violation Vec.t;
+  h2_accounting : violation Vec.t;
 }
 
 let violations t = Vec.to_list t.violations
 
 let violation_count t = Vec.length t.violations
 
+let push buf ~rule ~phase ?object_id ?region ?card detail =
+  Vec.push buf { rule; phase; detail; object_id; region; card }
+
 let add t ~rule ~phase ?object_id ?region ?card detail =
-  Vec.push t.violations { rule; phase; detail; object_id; region; card }
+  push t.violations ~rule ~phase ?object_id ?region ?card detail
+
+let append t buf =
+  for i = 0 to Vec.length buf - 1 do
+    Vec.push t.violations (Vec.get buf i)
+  done
 
 let pp_violation f v =
   Format.fprintf f "[%s] %s: %s" (rule_id v.rule) (phase_name v.phase) v.detail;
@@ -91,6 +106,11 @@ let report t =
   Vec.iter (fun v -> Format.fprintf f "  %a@." pp_violation v) t.violations;
   Format.pp_print_flush f ();
   Buffer.contents b
+
+(* The checks below run at every safepoint over every object, so their
+   per-object paths allocate nothing: references are scanned with [for]
+   loops and helpers are top-level functions, never closures built per
+   object. Only a violation allocates (its record and message). *)
 
 (* ------------------------------------------------------------------ *)
 (* Rule 1: remembered-set completeness (H1 cards + object-start index) *)
@@ -161,53 +181,32 @@ let check_rset t phase =
    overlaps is in a scanned state: the per-segment buckets register the
    object under every overlapped segment, and the write barrier dirties
    only the start segment. The check is therefore existential over the
-   object's segment range, exactly matching scan coverage. *)
-let check_h2_cards t phase h2 =
-  let cfg = H2.config h2 in
-  let cards = H2.card_table h2 in
-  let nsegs = H2_card_table.num_segments cards in
-  let seg_size = cfg.H2.card_segment_size in
-  H2.iter_region_views h2 (fun (rv : H2.region_view) ->
-      if rv.H2.view_label >= 0 then
-        Vec.iter
-          (fun (o : Obj_.t) ->
-            let to_young = ref false and to_old = ref false in
-            Obj_.iter_refs
-              (fun c ->
-                match c.Obj_.loc with
-                | Obj_.Eden | Obj_.Survivor -> to_young := true
-                | Obj_.Old -> to_old := true
-                | Obj_.In_h2 | Obj_.Freed -> ())
-              o;
-            if !to_young || !to_old then begin
-              let gstart =
-                (rv.H2.view_idx * cfg.H2.region_size) + o.Obj_.addr
-              in
-              let s0 = max 0 (gstart / seg_size) in
-              let s1 =
-                min (nsegs - 1) ((gstart + Obj_.total_size o - 1) / seg_size)
-              in
-              let scanned_minor = ref false and non_clean = ref false in
-              for s = s0 to s1 do
-                match H2_card_table.state cards ~seg:s with
-                | H2_card_table.Dirty | H2_card_table.Young_gen ->
-                    scanned_minor := true;
-                    non_clean := true
-                | H2_card_table.Old_gen -> non_clean := true
-                | H2_card_table.Clean -> ()
-              done;
-              if !to_young && not !scanned_minor then
-                add t ~rule:H2_card_legality ~phase ~object_id:o.Obj_.id
-                  ~region:rv.H2.view_idx ~card:s0
-                  "H2 object with a young backward reference covered by no \
-                   dirty/youngGen segment";
-              if (not !to_young) && !to_old && not !non_clean then
-                add t ~rule:H2_card_legality ~phase ~object_id:o.Obj_.id
-                  ~region:rv.H2.view_idx ~card:s0
-                  "H2 object with an old backward reference covered only by \
-                   clean segments"
-            end)
-          rv.H2.view_objects)
+   object's segment range, exactly matching scan coverage. [gstart] is
+   the object's global address; the flags say which generations its
+   references reach. *)
+let check_backward_cover buf phase cards ~nsegs ~seg_size ~region ~gstart
+    ~to_young ~to_old (o : Obj_.t) =
+  let s0 = max 0 (gstart / seg_size) in
+  let s1 = min (nsegs - 1) ((gstart + Obj_.total_size o - 1) / seg_size) in
+  let scanned_minor = ref false and non_clean = ref false in
+  for s = s0 to s1 do
+    match H2_card_table.state cards ~seg:s with
+    | H2_card_table.Dirty | H2_card_table.Young_gen ->
+        scanned_minor := true;
+        non_clean := true
+    | H2_card_table.Old_gen -> non_clean := true
+    | H2_card_table.Clean -> ()
+  done;
+  if to_young && not !scanned_minor then
+    push buf ~rule:H2_card_legality ~phase ~object_id:o.Obj_.id ~region
+      ~card:s0
+      "H2 object with a young backward reference covered by no \
+       dirty/youngGen segment";
+  if (not to_young) && to_old && not !non_clean then
+    push buf ~rule:H2_card_legality ~phase ~object_id:o.Obj_.id ~region
+      ~card:s0
+      "H2 object with an old backward reference covered only by clean \
+       segments"
 
 (* Rule 2b: transition legality, recorded online by the card-table hook.
    [Recompute] legality is judged on the state the collector *requested*
@@ -216,23 +215,25 @@ let check_h2_cards t phase h2 =
    them), and never upgrades [Old_gen] to [Young_gen] — right after the
    only recompute that visits [Old_gen] cards (major GC), no young
    objects exist. *)
+let bad_transition t seg detail =
+  add t ~rule:H2_card_transition ~phase:Online ~card:seg detail
+
 let check_transition t ~seg ~before ~after event =
-  let bad detail = add t ~rule:H2_card_transition ~phase:Online ~card:seg detail in
   match event with
   | H2_card_table.Barrier_dirty ->
       if after <> H2_card_table.Dirty then
-        bad "write barrier left the card in a non-dirty state"
+        bad_transition t seg "write barrier left the card in a non-dirty state"
   | H2_card_table.Bulk_clear ->
       if after <> H2_card_table.Clean then
-        bad "bulk region reclamation left the card non-clean"
+        bad_transition t seg "bulk region reclamation left the card non-clean"
   | H2_card_table.Recompute target -> (
       if before = H2_card_table.Clean then
-        bad "card recompute ran on a clean card";
+        bad_transition t seg "card recompute ran on a clean card";
       if target = H2_card_table.Dirty then
-        bad "card recompute targeted the dirty state";
+        bad_transition t seg "card recompute targeted the dirty state";
       match (before, target) with
       | H2_card_table.Old_gen, H2_card_table.Young_gen ->
-          bad "card recompute upgraded oldGen to youngGen"
+          bad_transition t seg "card recompute upgraded oldGen to youngGen"
       | ( ( H2_card_table.Clean | H2_card_table.Dirty
           | H2_card_table.Young_gen | H2_card_table.Old_gen ),
           ( H2_card_table.Clean | H2_card_table.Dirty
@@ -242,179 +243,204 @@ let check_transition t ~seg ~before ~after event =
 (* ------------------------------------------------------------------ *)
 (* Rule 3: dependency-list soundness                                   *)
 
-let check_deps t phase h2 =
-  let heap = t.rt.Rt.heap in
-  let mode = (H2.config h2).H2.reclaim_mode in
-  let active region = H2.label_of_region h2 ~region >= 0 in
-  H2.iter_region_views h2 (fun (rv : H2.region_view) ->
-      if rv.H2.view_label >= 0 then begin
-        let src = rv.H2.view_idx in
-        List.iter
-          (fun d ->
-            if not (active d) then
-              add t ~rule:Dependency_soundness ~phase ~region:src
-                (Printf.sprintf "dependency list targets reclaimed region %d" d))
-          rv.H2.view_deps;
-        Vec.iter
-          (fun (o : Obj_.t) ->
-            Obj_.iter_refs
-              (fun c ->
-                match c.Obj_.loc with
-                | Obj_.In_h2 when c.Obj_.h2_region <> src ->
-                    let dst = c.Obj_.h2_region in
-                    if not (active dst) then
-                      add t ~rule:Dependency_soundness ~phase
-                        ~object_id:o.Obj_.id ~region:src
-                        (Printf.sprintf
-                           "cross-region reference into reclaimed region %d" dst)
-                    else begin
-                      match mode with
-                      | H2.Dependency_lists ->
-                          if not (List.mem dst rv.H2.view_deps) then
-                            add t ~rule:Dependency_soundness ~phase
-                              ~object_id:o.Obj_.id ~region:src
-                              (Printf.sprintf
-                                 "cross-region reference to region %d missing \
-                                  from the dependency list" dst)
-                      | H2.Region_groups ->
-                          if not (H2.in_same_group h2 ~a:src ~b:dst) then
-                            add t ~rule:Dependency_soundness ~phase
-                              ~object_id:o.Obj_.id ~region:src
-                              (Printf.sprintf
-                                 "cross-region reference to region %d outside \
-                                  the Union-Find group" dst)
-                    end
-                | Obj_.Freed ->
-                    add t ~rule:Dependency_soundness ~phase ~object_id:o.Obj_.id
-                      ~region:src
-                      (Printf.sprintf "H2 object references freed object #%d"
-                         c.Obj_.id)
-                | Obj_.In_h2 | Obj_.Eden | Obj_.Survivor | Obj_.Old -> ())
-              o)
-          rv.H2.view_objects
-      end);
-  (* Forward-reference coverage: a live H1 resident must never point into
-     a reclaimed region — region liveness is driven by exactly these
-     references plus the dependency lists (§3.3). *)
-  let check_h1 (o : Obj_.t) =
-    Obj_.iter_refs
-      (fun c ->
-        if c.Obj_.loc = Obj_.In_h2 && not (active c.Obj_.h2_region) then
-          add t ~rule:Dependency_soundness ~phase ~object_id:o.Obj_.id
-            ~region:c.Obj_.h2_region
-            "H1 object holds a forward reference into a reclaimed region")
-      o
-  in
-  Vec.iter check_h1 heap.H1_heap.eden;
-  Vec.iter check_h1 heap.H1_heap.survivor;
-  Vec.iter check_h1 heap.H1_heap.old_objs
+let active h2 region = H2.label_of_region h2 ~region >= 0
+
+let rec check_dep_targets buf phase h2 ~region = function
+  | [] -> ()
+  | d :: rest ->
+      if not (active h2 d) then
+        push buf ~rule:Dependency_soundness ~phase ~region
+          (Printf.sprintf "dependency list targets reclaimed region %d" d);
+      check_dep_targets buf phase h2 ~region rest
+
+(* A reference from [o] in [region] to an object in region [dst]. *)
+let check_cross_region buf phase h2 ~mode ~region ~deps (o : Obj_.t) dst =
+  if not (active h2 dst) then
+    push buf ~rule:Dependency_soundness ~phase ~object_id:o.Obj_.id ~region
+      (Printf.sprintf "cross-region reference into reclaimed region %d" dst)
+  else
+    match mode with
+    | H2.Dependency_lists ->
+        if not (List.mem dst deps) then
+          push buf ~rule:Dependency_soundness ~phase ~object_id:o.Obj_.id
+            ~region
+            (Printf.sprintf
+               "cross-region reference to region %d missing from the \
+                dependency list" dst)
+    | H2.Region_groups ->
+        if not (H2.in_same_group h2 ~a:region ~b:dst) then
+          push buf ~rule:Dependency_soundness ~phase ~object_id:o.Obj_.id
+            ~region
+            (Printf.sprintf
+               "cross-region reference to region %d outside the Union-Find \
+                group" dst)
+
+(* Forward-reference coverage: a live H1 resident must never point into
+   a reclaimed region — region liveness is driven by exactly these
+   references plus the dependency lists (§3.3). *)
+let check_forward_refs t phase h2 vec =
+  for j = 0 to Vec.length vec - 1 do
+    let o : Obj_.t = Vec.get vec j in
+    for i = 0 to o.Obj_.nrefs - 1 do
+      let c = o.Obj_.refs.(i) in
+      if c.Obj_.loc = Obj_.In_h2 && not (active h2 c.Obj_.h2_region) then
+        add t ~rule:Dependency_soundness ~phase ~object_id:o.Obj_.id
+          ~region:c.Obj_.h2_region
+          "H1 object holds a forward reference into a reclaimed region"
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Rule 4: region and space accounting                                 *)
 
 let align8 n = (n + 7) land lnot 7
 
-let check_accounting t phase =
+(* [unrecorded] is the space's bytes that have no record: eden's
+   dead-on-arrival allocations. *)
+let check_space t phase name vec expected_loc used ~unrecorded ~by_footprint =
+  let sum = ref unrecorded in
+  for i = 0 to Vec.length vec - 1 do
+    let o : Obj_.t = Vec.get vec i in
+    if o.Obj_.loc <> expected_loc then
+      add t ~rule:Region_accounting ~phase ~object_id:o.Obj_.id
+        (Printf.sprintf "%s vector holds an object located elsewhere" name)
+    else
+      sum :=
+        !sum + if by_footprint then Obj_.footprint o else Obj_.total_size o
+  done;
+  if !sum <> used then
+    add t ~rule:Region_accounting ~phase
+      (Printf.sprintf "%s accounting: used=%d, object sum=%d" name used !sum)
+
+let total_size_sum vec =
+  let s = ref 0 in
+  for i = 0 to Vec.length vec - 1 do
+    s := !s + Obj_.total_size (Vec.get vec i)
+  done;
+  !s
+
+let check_h1_accounting t phase =
   let heap = t.rt.Rt.heap in
-  (* [unrecorded] is the space's bytes that have no record: eden's
-     dead-on-arrival allocations. *)
-  let sum_space name vec expected_loc used ~unrecorded by_footprint =
-    let sum = ref unrecorded in
-    Vec.iter
-      (fun (o : Obj_.t) ->
-        if o.Obj_.loc <> expected_loc then
-          add t ~rule:Region_accounting ~phase ~object_id:o.Obj_.id
-            (Printf.sprintf "%s vector holds an object located elsewhere" name)
-        else
-          sum :=
-            !sum + (if by_footprint then Obj_.footprint o else Obj_.total_size o))
-      vec;
-    if !sum <> used then
-      add t ~rule:Region_accounting ~phase
-        (Printf.sprintf "%s accounting: used=%d, object sum=%d" name used !sum)
-  in
-  sum_space "eden" heap.H1_heap.eden Obj_.Eden heap.H1_heap.eden_used
-    ~unrecorded:heap.H1_heap.dead_young_bytes false;
-  sum_space "survivor" heap.H1_heap.survivor Obj_.Survivor
-    heap.H1_heap.survivor_used ~unrecorded:0 false;
-  sum_space "old" heap.H1_heap.old_objs Obj_.Old heap.H1_heap.old_used
-    ~unrecorded:0 true;
+  check_space t phase "eden" heap.H1_heap.eden Obj_.Eden heap.H1_heap.eden_used
+    ~unrecorded:heap.H1_heap.dead_young_bytes ~by_footprint:false;
+  check_space t phase "survivor" heap.H1_heap.survivor Obj_.Survivor
+    heap.H1_heap.survivor_used ~unrecorded:0 ~by_footprint:false;
+  check_space t phase "old" heap.H1_heap.old_objs Obj_.Old
+    heap.H1_heap.old_used ~unrecorded:0 ~by_footprint:true;
   (* The census recomputes H1 composition from scratch; its total must
      match an independent sum over the space vectors plus the
      dead-on-arrival bytes. *)
   let census = Heap_census.of_runtime t.rt in
   let vec_total =
-    let s = ref heap.H1_heap.dead_young_bytes in
-    let addv (o : Obj_.t) = s := !s + Obj_.total_size o in
-    Vec.iter addv heap.H1_heap.eden;
-    Vec.iter addv heap.H1_heap.survivor;
-    Vec.iter addv heap.H1_heap.old_objs;
-    !s
+    heap.H1_heap.dead_young_bytes
+    + total_size_sum heap.H1_heap.eden
+    + total_size_sum heap.H1_heap.survivor
+    + total_size_sum heap.H1_heap.old_objs
   in
   if Heap_census.total_bytes census <> vec_total then
     add t ~rule:Region_accounting ~phase
       (Printf.sprintf "heap census total %d disagrees with space vectors %d"
-         (Heap_census.total_bytes census) vec_total);
-  match t.rt.Rt.h2 with
-  | None -> ()
-  | Some h2 ->
-      let cfg = H2.config h2 in
-      let top_sum = ref 0 in
-      H2.iter_region_views h2 (fun (rv : H2.region_view) ->
-          let region = rv.H2.view_idx in
-          if rv.H2.view_label >= 0 then begin
-            top_sum := !top_sum + rv.H2.view_top;
-            (* Replay the bump allocator over the address-ordered object
-               vector: addresses and the allocation pointer must agree. *)
-            let expected = ref 0 in
-            Vec.iter
-              (fun (o : Obj_.t) ->
-                if o.Obj_.loc <> Obj_.In_h2 then
-                  add t ~rule:Region_accounting ~phase ~object_id:o.Obj_.id
-                    ~region "region vector holds an object not located in H2"
-                else begin
-                  if o.Obj_.h2_region <> region then
-                    add t ~rule:Region_accounting ~phase ~object_id:o.Obj_.id
-                      ~region "region vector holds an object of another region";
-                  if o.Obj_.addr <> !expected then
-                    add t ~rule:Region_accounting ~phase ~object_id:o.Obj_.id
-                      ~region
-                      (Printf.sprintf
-                         "object address %d breaks the bump sequence \
-                          (expected %d)" o.Obj_.addr !expected);
-                  expected := !expected + align8 (Obj_.total_size o)
-                end)
-              rv.H2.view_objects;
-            if !expected <> rv.H2.view_top then
-              add t ~rule:Region_accounting ~phase ~region
-                (Printf.sprintf "region top %d, object sum %d" rv.H2.view_top
-                   !expected);
-            if rv.H2.view_top > cfg.H2.region_size then
-              add t ~rule:Region_accounting ~phase ~region
-                "allocation pointer beyond the region size"
-          end
-          else begin
-            if
-              rv.H2.view_top <> 0
-              || Vec.length rv.H2.view_objects <> 0
-              || rv.H2.view_deps <> []
-            then
-              add t ~rule:Region_accounting ~phase ~region
-                "reclaimed region retains objects, space or dependencies";
-            if rv.H2.view_live then
-              add t ~rule:Region_accounting ~phase ~region
-                "reclaimed region carries a live bit"
-          end);
-      if H2.used_bytes h2 <> !top_sum then
-        add t ~rule:Region_accounting ~phase
-          (Printf.sprintf "H2 used_bytes %d disagrees with region tops %d"
-             (H2.used_bytes h2) !top_sum);
-      List.iter
-        (fun r ->
-          if H2.label_of_region h2 ~region:r >= 0 then
-            add t ~rule:Region_accounting ~phase ~region:r
-              "free-list region carries a label")
-        (H2.free_region_list h2)
+         (Heap_census.total_bytes census) vec_total)
+
+let check_h2_totals t phase h2 ~top_sum =
+  if H2.used_bytes h2 <> top_sum then
+    add t ~rule:Region_accounting ~phase
+      (Printf.sprintf "H2 used_bytes %d disagrees with region tops %d"
+         (H2.used_bytes h2) top_sum);
+  List.iter
+    (fun r ->
+      if H2.label_of_region h2 ~region:r >= 0 then
+        add t ~rule:Region_accounting ~phase ~region:r
+          "free-list region carries a label")
+    (H2.free_region_list h2)
+
+(* ------------------------------------------------------------------ *)
+(* The H2 walk: rules 2, 3 and 4 over each region's objects at once    *)
+
+(* One active region's objects. Rules 2 and 3 share one scan of each
+   object's references; rule 4 replays the bump allocator over the
+   address-ordered vector, so addresses and the allocation pointer must
+   agree. *)
+let walk_region t phase h2 cards ~nsegs ~seg_size ~region_size ~mode ~region
+    ~top ~deps objects =
+  let base = region * region_size in
+  let acct = t.h2_accounting in
+  let expected = ref 0 in
+  for j = 0 to Vec.length objects - 1 do
+    let o : Obj_.t = Vec.get objects j in
+    let to_young = ref false and to_old = ref false in
+    for i = 0 to o.Obj_.nrefs - 1 do
+      let c = o.Obj_.refs.(i) in
+      match c.Obj_.loc with
+      | Obj_.Eden | Obj_.Survivor -> to_young := true
+      | Obj_.Old -> to_old := true
+      | Obj_.In_h2 ->
+          if c.Obj_.h2_region <> region then
+            check_cross_region t.h2_deps phase h2 ~mode ~region ~deps o
+              c.Obj_.h2_region
+      | Obj_.Freed ->
+          push t.h2_deps ~rule:Dependency_soundness ~phase ~object_id:o.Obj_.id
+            ~region
+            (Printf.sprintf "H2 object references freed object #%d" c.Obj_.id)
+    done;
+    if !to_young || !to_old then
+      check_backward_cover t.h2_cards phase cards ~nsegs ~seg_size ~region
+        ~gstart:(base + o.Obj_.addr) ~to_young:!to_young ~to_old:!to_old o;
+    if o.Obj_.loc <> Obj_.In_h2 then
+      push acct ~rule:Region_accounting ~phase ~object_id:o.Obj_.id ~region
+        "region vector holds an object not located in H2"
+    else begin
+      if o.Obj_.h2_region <> region then
+        push acct ~rule:Region_accounting ~phase ~object_id:o.Obj_.id ~region
+          "region vector holds an object of another region";
+      if o.Obj_.addr <> !expected then
+        push acct ~rule:Region_accounting ~phase ~object_id:o.Obj_.id ~region
+          (Printf.sprintf
+             "object address %d breaks the bump sequence (expected %d)"
+             o.Obj_.addr !expected);
+      expected := !expected + align8 (Obj_.total_size o)
+    end
+  done;
+  if !expected <> top then
+    push acct ~rule:Region_accounting ~phase ~region
+      (Printf.sprintf "region top %d, object sum %d" top !expected);
+  if top > region_size then
+    push acct ~rule:Region_accounting ~phase ~region
+      "allocation pointer beyond the region size"
+
+(* Fills the three H2 buffers and returns the sum of the active regions'
+   allocation pointers, for the [used_bytes] check. *)
+let walk_h2 t phase h2 =
+  let cfg = H2.config h2 in
+  let cards = H2.card_table h2 in
+  let nsegs = H2_card_table.num_segments cards in
+  let seg_size = cfg.H2.card_segment_size in
+  let region_size = cfg.H2.region_size in
+  let mode = cfg.H2.reclaim_mode in
+  Vec.clear t.h2_cards;
+  Vec.clear t.h2_deps;
+  Vec.clear t.h2_accounting;
+  let top_sum = ref 0 in
+  for region = 0 to H2.opened_regions h2 - 1 do
+    let top = H2.region_top h2 ~region in
+    let deps = H2.region_deps h2 ~region in
+    let objects = H2.region_objects h2 ~region in
+    if H2.label_of_region h2 ~region >= 0 then begin
+      top_sum := !top_sum + top;
+      check_dep_targets t.h2_deps phase h2 ~region deps;
+      walk_region t phase h2 cards ~nsegs ~seg_size ~region_size ~mode ~region
+        ~top ~deps objects
+    end
+    else begin
+      if top <> 0 || Vec.length objects <> 0 || deps <> [] then
+        push t.h2_accounting ~rule:Region_accounting ~phase ~region
+          "reclaimed region retains objects, space or dependencies";
+      if H2.region_live h2 ~region then
+        push t.h2_accounting ~rule:Region_accounting ~phase ~region
+          "reclaimed region carries a live bit"
+    end
+  done;
+  !top_sum
 
 (* ------------------------------------------------------------------ *)
 (* Rule 6 (Paranoid): from-scratch reachability census                 *)
@@ -475,12 +501,19 @@ let check_conservation t phase =
 
 let run_checks t phase =
   check_rset t phase;
+  let heap = t.rt.Rt.heap in
   (match t.rt.Rt.h2 with
-  | None -> ()
+  | None -> check_h1_accounting t phase
   | Some h2 ->
-      check_h2_cards t phase h2;
-      check_deps t phase h2);
-  check_accounting t phase;
+      let top_sum = walk_h2 t phase h2 in
+      append t t.h2_cards;
+      append t t.h2_deps;
+      check_forward_refs t phase h2 heap.H1_heap.eden;
+      check_forward_refs t phase h2 heap.H1_heap.survivor;
+      check_forward_refs t phase h2 heap.H1_heap.old_objs;
+      check_h1_accounting t phase;
+      append t t.h2_accounting;
+      check_h2_totals t phase h2 ~top_sum);
   if t.level = Paranoid then check_reachability t phase;
   check_conservation t phase
 
@@ -493,7 +526,17 @@ let phase_of_safepoint = function
 let check_now t = run_checks t Manual
 
 let attach rt level =
-  let t = { rt; level; violations = Vec.create (); last = None } in
+  let t =
+    {
+      rt;
+      level;
+      violations = Vec.create ();
+      last = None;
+      h2_cards = Vec.create ();
+      h2_deps = Vec.create ();
+      h2_accounting = Vec.create ();
+    }
+  in
   if level <> Off then begin
     rt.Rt.safepoint_hook <- Some (fun p -> run_checks t (phase_of_safepoint p));
     match rt.Rt.h2 with

@@ -221,6 +221,258 @@ let prop_h2_non_clean_counter_consistent =
         ~hi:(H2_card_table.num_segments ct) (fun _ _ -> incr actual);
       !actual = H2_card_table.non_clean_count ct)
 
+(* ---- Sized on first use: lazy tables against eagerly sized ones ---- *)
+
+(* Both tables start with a covered prefix smaller than the table; the
+   reference is the same table grown to its full size by dirtying and
+   clearing its last card before the run. Every observation — return
+   values, exceptions, counters and the transition stream — must match
+   while the lazy table grows underneath. *)
+let observe f = try f () with e -> "raised " ^ Printexc.to_string e
+
+(* What a fully sized table raises for an index outside it; the shared
+   cold path must keep raising exactly that. *)
+let raised msg = "raised " ^ Printexc.to_string (Invalid_argument msg)
+
+let outside n i = i < 0 || i >= n
+
+let state_name = function
+  | H2_card_table.Clean -> "clean"
+  | H2_card_table.Dirty -> "dirty"
+  | H2_card_table.Young_gen -> "young"
+  | H2_card_table.Old_gen -> "old"
+
+type h2_card_op =
+  | Mark of int  (* global address *)
+  | Set of int * int  (* segment, state selector *)
+  | Clear of int * int
+  | Scan of bool * int * int  (* major?, lo, hi *)
+  | Segment_of of int
+  | State of int
+
+let h2_seg_size = 512
+
+(* 512 segments, so the 64-byte first prefix grows three times. *)
+let h2_capacity = Size.kib 256
+
+let h2_card_op_gen =
+  let nsegs = h2_capacity / h2_seg_size in
+  QCheck.Gen.(
+    let seg = int_range (-2) (nsegs + 2) in
+    let gaddr = int_range (-h2_seg_size) (h2_capacity + h2_seg_size) in
+    frequency
+      [
+        (4, map (fun a -> Mark a) gaddr);
+        (4, map2 (fun s st -> Set (s, st)) seg (int_range 0 3));
+        (1, map2 (fun lo n -> Clear (lo, lo + n)) seg (int_range 0 64));
+        ( 1,
+          map3 (fun major lo n -> Scan (major, lo, lo + n)) bool seg
+            (int_range 0 600) );
+        (1, map (fun a -> Segment_of a) gaddr);
+        (2, map (fun s -> State s) seg);
+      ])
+
+let h2_card_op_to_string = function
+  | Mark a -> Printf.sprintf "Mark %d" a
+  | Set (s, st) -> Printf.sprintf "Set(%d,%d)" s st
+  | Clear (lo, hi) -> Printf.sprintf "Clear(%d,%d)" lo hi
+  | Scan (major, lo, hi) -> Printf.sprintf "Scan(%b,%d,%d)" major lo hi
+  | Segment_of a -> Printf.sprintf "Segment_of %d" a
+  | State s -> Printf.sprintf "State %d" s
+
+let run_h2_card_op ct = function
+  | Mark gaddr ->
+      observe (fun () ->
+          H2_card_table.mark_dirty ct ~gaddr;
+          "ok")
+  | Set (seg, st) ->
+      let st =
+        [| H2_card_table.Clean; Dirty; Young_gen; Old_gen |].(st)
+      in
+      observe (fun () ->
+          H2_card_table.set_state ct ~seg st;
+          "ok")
+  | Clear (lo, hi) ->
+      observe (fun () ->
+          H2_card_table.clear_range ct ~lo ~hi;
+          "ok")
+  | Scan (major, lo, hi) ->
+      let b = Buffer.create 64 in
+      (if major then H2_card_table.iter_major_scan
+       else H2_card_table.iter_minor_scan)
+        ct ~lo ~hi (fun seg st ->
+          Printf.bprintf b "%d:%s " seg (state_name st));
+      Buffer.contents b
+  | Segment_of gaddr ->
+      observe (fun () -> string_of_int (H2_card_table.segment_of ct ~gaddr))
+  | State seg ->
+      observe (fun () -> state_name (H2_card_table.state ct ~seg))
+
+let h2_expected_raise op =
+  let nsegs = h2_capacity / h2_seg_size in
+  match op with
+  | (Mark a | Segment_of a) when outside nsegs (a / h2_seg_size) ->
+      Some (raised "H2_card_table.segment_of: address out of range")
+  | (Set (s, _) | State s) when outside nsegs s ->
+      Some (raised "index out of bounds")
+  | Mark _ | Segment_of _ | Set _ | State _ | Clear _ | Scan _ -> None
+
+let h2_card_log ~eager ~aligned ops =
+  let ct =
+    H2_card_table.create ~segment_size:h2_seg_size ~stripe_aligned:aligned
+      ~stripe_size:(Size.kib 4) ~capacity_bytes:h2_capacity ()
+  in
+  if eager then begin
+    let last = H2_card_table.num_segments ct - 1 in
+    H2_card_table.mark_dirty ct ~gaddr:(last * h2_seg_size);
+    H2_card_table.clear_range ct ~lo:last ~hi:(last + 1)
+  end;
+  let log = ref [] in
+  H2_card_table.set_transition_hook ct
+    (Some
+       (fun ~seg ~before ~after _ ->
+         log :=
+           Printf.sprintf "  %d %s->%s" seg (state_name before)
+             (state_name after)
+           :: !log));
+  List.iter
+    (fun op ->
+      let r = run_h2_card_op ct op in
+      (match h2_expected_raise op with
+      | Some e when r <> e ->
+          QCheck.Test.fail_reportf "%s gave %s, expected %s"
+            (h2_card_op_to_string op) r e
+      | Some _ | None -> ());
+      log :=
+        Printf.sprintf "%s = %s non_clean=%d segs=%d meta=%d"
+          (h2_card_op_to_string op) r
+          (H2_card_table.non_clean_count ct)
+          (H2_card_table.num_segments ct)
+          (H2_card_table.metadata_bytes ct)
+        :: !log)
+    ops;
+  List.rev !log
+
+let prop_h2_cards_lazy_match_eager =
+  QCheck.Test.make ~name:"lazily sized h2 card table matches an eager one"
+    ~count:200
+    QCheck.(
+      pair bool
+        (make
+           ~print:(fun ops ->
+             String.concat "; " (List.map h2_card_op_to_string ops))
+           Gen.(list_size (int_range 0 80) h2_card_op_gen)))
+    (fun (aligned, ops) ->
+      h2_card_log ~eager:false ~aligned ops
+      = h2_card_log ~eager:true ~aligned ops)
+
+type h1_card_op =
+  | Dirty_at of int  (* address *)
+  | Clear_card of int
+  | Is_dirty of int
+  | Card_of of int
+  | Clear_all
+  | Note_start of int  (* address step past the last noted object *)
+  | Dirty_ranges
+
+let h1_card_size = 512
+
+let h1_capacity = Size.kib 256
+
+let h1_card_op_gen =
+  let ncards = h1_capacity / h1_card_size in
+  QCheck.Gen.(
+    let card = int_range (-2) (ncards + 2) in
+    let addr = int_range (-h1_card_size) (h1_capacity + h1_card_size) in
+    frequency
+      [
+        (4, map (fun a -> Dirty_at a) addr);
+        (2, map (fun c -> Clear_card c) card);
+        (2, map (fun c -> Is_dirty c) card);
+        (1, map (fun a -> Card_of a) addr);
+        (1, return Clear_all);
+        (2, map (fun d -> Note_start d) (int_range 0 8000));
+        (1, return Dirty_ranges);
+      ])
+
+let h1_card_op_to_string = function
+  | Dirty_at a -> Printf.sprintf "Dirty_at %d" a
+  | Clear_card c -> Printf.sprintf "Clear_card %d" c
+  | Is_dirty c -> Printf.sprintf "Is_dirty %d" c
+  | Card_of a -> Printf.sprintf "Card_of %d" a
+  | Clear_all -> "Clear_all"
+  | Note_start d -> Printf.sprintf "Note_start +%d" d
+  | Dirty_ranges -> "Dirty_ranges"
+
+let h1_expected_raise op =
+  let ncards = h1_capacity / h1_card_size in
+  match op with
+  | (Dirty_at a | Card_of a) when outside ncards (a / h1_card_size) ->
+      Some (raised "Card_table.card_of_addr: address out of range")
+  | (Clear_card c | Is_dirty c) when outside ncards c ->
+      Some (raised "index out of bounds")
+  | Dirty_at _ | Card_of _ | Clear_card _ | Is_dirty _ | Clear_all
+  | Note_start _ | Dirty_ranges ->
+      None
+
+let h1_card_log ~eager ops =
+  let ct =
+    Card_table.create ~card_size:h1_card_size ~capacity_bytes:h1_capacity ()
+  in
+  if eager then begin
+    let last = Card_table.num_cards ct - 1 in
+    Card_table.mark_dirty ct ~addr:(last * h1_card_size);
+    Card_table.clear_card ct ~card:last
+  end;
+  let next_start = ref 0 in
+  List.map
+    (fun op ->
+      let r =
+        match op with
+        | Dirty_at addr ->
+            observe (fun () ->
+                Card_table.mark_dirty ct ~addr;
+                "ok")
+        | Clear_card card ->
+            observe (fun () ->
+                Card_table.clear_card ct ~card;
+                "ok")
+        | Is_dirty card ->
+            observe (fun () -> string_of_bool (Card_table.is_dirty ct ~card))
+        | Card_of addr ->
+            observe (fun () -> string_of_int (Card_table.card_of_addr ct addr))
+        | Clear_all ->
+            Card_table.clear_all ct;
+            "ok"
+        | Note_start d ->
+            next_start := !next_start + d;
+            Card_table.note_object_start ct ~addr:!next_start;
+            "ok"
+        | Dirty_ranges ->
+            let b = Buffer.create 64 in
+            Card_table.iter_dirty_ranges ct (fun card lo hi ->
+                Printf.bprintf b "%d:[%d,%d) " card lo hi);
+            Buffer.contents b
+      in
+      (match h1_expected_raise op with
+      | Some e when r <> e ->
+          QCheck.Test.fail_reportf "%s gave %s, expected %s"
+            (h1_card_op_to_string op) r e
+      | Some _ | None -> ());
+      Printf.sprintf "%s = %s dirty=%d cards=%d" (h1_card_op_to_string op) r
+        (Card_table.dirty_count ct) (Card_table.num_cards ct))
+    ops
+
+let prop_h1_cards_lazy_match_eager =
+  QCheck.Test.make ~name:"lazily sized h1 card table matches an eager one"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; " (List.map h1_card_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 0 80) h1_card_op_gen))
+    (fun ops -> h1_card_log ~eager:false ops = h1_card_log ~eager:true ops)
+
+
 let suite =
   [
     Alcotest.test_case "h1 card mark/clear" `Quick test_card_mark_and_clear;
@@ -250,4 +502,6 @@ let suite =
       test_h2_clear_range_overrides_sticky;
     Alcotest.test_case "h2 card metadata size" `Quick test_h2_metadata_bytes;
     QCheck_alcotest.to_alcotest prop_h2_non_clean_counter_consistent;
+    QCheck_alcotest.to_alcotest prop_h2_cards_lazy_match_eager;
+    QCheck_alcotest.to_alcotest prop_h1_cards_lazy_match_eager;
   ]

@@ -65,6 +65,36 @@ let test_ring_capacity_clamped () =
   Recorder.instant tr ~ts:16.0 ~cat:"t" ~name:"e" ();
   Alcotest.(check int) "17th drops one" 1 (Recorder.dropped tr)
 
+(* The ring starts small and grows on demand; what it reports must be
+   what a ring preallocated at full capacity reports: the newest
+   [capacity] events in order, the rest counted as dropped. Capacity
+   3000 crosses two doublings of the 1024-slot start before it wraps. *)
+let test_ring_grows_like_eager () =
+  List.iter
+    (fun (capacity, counts) ->
+      List.iter
+        (fun n ->
+          let tr = Recorder.create ~capacity ~lane:0 () in
+          for i = 0 to n - 1 do
+            Recorder.instant tr ~ts:(float_of_int i) ~cat:"t" ~name:"e" ()
+          done;
+          let kept = min n capacity in
+          let label what =
+            Printf.sprintf "capacity %d, %d events: %s" capacity n what
+          in
+          Alcotest.(check (list (float 0.0)))
+            (label "events")
+            (List.init kept (fun i -> float_of_int (n - kept + i)))
+            (List.map (fun e -> e.Event.ts) (Recorder.events tr));
+          Alcotest.(check int) (label "total") n (Recorder.total tr);
+          Alcotest.(check int) (label "dropped") (n - kept)
+            (Recorder.dropped tr))
+        counts)
+    [
+      (16, List.init 101 Fun.id);
+      (3000, [ 0; 1; 1023; 1024; 1025; 2048; 2049; 2999; 3000; 3001; 7000 ]);
+    ]
+
 (* --- exporters ------------------------------------------------------- *)
 
 let sample_recorder () =
@@ -527,6 +557,8 @@ let suite =
       test_ring_drops_oldest;
     Alcotest.test_case "ring capacity clamps to the 16-slot floor" `Quick
       test_ring_capacity_clamped;
+    Alcotest.test_case "ring grows on demand like an eager ring" `Quick
+      test_ring_grows_like_eager;
     Alcotest.test_case "compact text exporter format" `Quick
       test_text_exporter_format;
     Alcotest.test_case "chrome trace-event JSON format" `Quick

@@ -72,7 +72,10 @@ let make_h2 rt ~label =
 (* ------------------------------------------------------------------ *)
 (* Deterministic detection tests: one planted corruption per rule.     *)
 
-let test_detects_cleared_h1_card () =
+(* Each seeded corruption is a scenario returning the verifier that
+   checked it: the detection tests assert on its rules, and the report
+   golden below pins its full violation list. *)
+let scenario_cleared_h1_card () =
   let rt, _, _ = mk_rt () in
   let parent = make_old rt in
   let child = Runtime.alloc rt ~size:64 () in
@@ -84,7 +87,10 @@ let test_detects_cleared_h1_card () =
   Card_table.clear_card cards ~card;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
-  check_detects v Verify.Rset_completeness
+  v
+
+let test_detects_cleared_h1_card () =
+  check_detects (scenario_cleared_h1_card ()) Verify.Rset_completeness
 
 (* Re-index the old generation without the object at position [k], as
    if its object-start entry had been lost: every entry after it then
@@ -97,18 +103,21 @@ let drop_index_entry (heap : H1_heap.t) k =
       if i <> k then Card_table.note_object_start cards ~addr:o.Obj_.addr)
     heap.H1_heap.old_objs
 
-let test_detects_dropped_rset_index () =
+let scenario_dropped_rset_index () =
   let rt, _, _ = mk_rt () in
   let _ = make_old rt in
   let _ = make_old rt in
   drop_index_entry (Runtime.heap rt) 0;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
-  check_detects v Verify.Rset_completeness
+  v
+
+let test_detects_dropped_rset_index () =
+  check_detects (scenario_dropped_rset_index ()) Verify.Rset_completeness
 
 (* Same object count, one wrong entry: the first old object is indexed
    under the second one's card, so its own card's range comes out empty. *)
-let test_detects_misplaced_rset_entry () =
+let scenario_misplaced_rset_entry () =
   let rt, _, _ = mk_rt () in
   let a = make_old rt in
   let b = make_old rt in
@@ -124,9 +133,12 @@ let test_detects_misplaced_rset_entry () =
     (Runtime.heap rt).H1_heap.old_objs;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
-  check_detects v Verify.Rset_completeness
+  v
 
-let test_detects_illegal_h2_card_clean () =
+let test_detects_misplaced_rset_entry () =
+  check_detects (scenario_misplaced_rset_entry ()) Verify.Rset_completeness
+
+let scenario_illegal_h2_card_clean () =
   let rt, h2, _ = mk_rt () in
   let a = make_h2 rt ~label:0 in
   let child = Runtime.alloc rt ~size:64 () in
@@ -143,17 +155,23 @@ let test_detects_illegal_h2_card_clean () =
   H2_card_table.set_state ct ~seg H2_card_table.Clean;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
-  check_detects v Verify.H2_card_legality
+  v
 
-let test_detects_illegal_transition () =
+let test_detects_illegal_h2_card_clean () =
+  check_detects (scenario_illegal_h2_card_clean ()) Verify.H2_card_legality
+
+let scenario_illegal_transition () =
   let rt, h2, _ = mk_rt () in
   let v = Verify.attach rt Verify.Safepoint in
   (* A recompute must never run on a clean card nor target Dirty; this
      does both, and the online hook records it without any check_now. *)
   H2_card_table.set_state (H2.card_table h2) ~seg:0 H2_card_table.Dirty;
-  check_detects v Verify.H2_card_transition
+  v
 
-let test_detects_removed_dependency () =
+let test_detects_illegal_transition () =
+  check_detects (scenario_illegal_transition ()) Verify.H2_card_transition
+
+let scenario_removed_dependency () =
   let rt, h2, _ = mk_rt () in
   (* Move a and b separately (a link before the move would drag b into
      a's closure and the same region), then store the cross-region
@@ -168,22 +186,28 @@ let test_detects_removed_dependency () =
     ~dst_region:b.Obj_.h2_region;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
-  check_detects v Verify.Dependency_soundness
+  v
 
-let test_detects_accounting_skew () =
+let test_detects_removed_dependency () =
+  check_detects (scenario_removed_dependency ()) Verify.Dependency_soundness
+
+let scenario_accounting_skew () =
   let rt, _, _ = mk_rt () in
   let _ = make_old rt in
   let heap = Runtime.heap rt in
   heap.H1_heap.old_used <- heap.H1_heap.old_used + 4096;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
-  check_detects v Verify.Region_accounting
+  v
+
+let test_detects_accounting_skew () =
+  check_detects (scenario_accounting_skew ()) Verify.Region_accounting
 
 (* Eden holds record-free dead-on-arrival bytes: a clean heap with some
    passes, and skewing the dead-young counter is one eden accounting
    violation (the census counts the same skewed bytes, so it still
    agrees with the space sums). *)
-let test_detects_dead_young_skew () =
+let scenario_dead_young_skew () =
   let rt, _, _ = mk_rt () in
   let keep = Runtime.alloc rt ~size:256 () in
   Runtime.add_root rt keep;
@@ -198,20 +222,26 @@ let test_detects_dead_young_skew () =
   Alcotest.(check int) "clean before tampering" 0 (Verify.violation_count v);
   heap.H1_heap.dead_young_bytes <- heap.H1_heap.dead_young_bytes + 4096;
   Verify.check_now v;
+  v
+
+let test_detects_dead_young_skew () =
   Alcotest.(check (list string)) "one region-accounting violation"
     [ Verify.rule_id Verify.Region_accounting ]
     (List.map
        (fun (x : Verify.violation) -> Verify.rule_id x.Verify.rule)
-       (Verify.violations v))
+       (Verify.violations (scenario_dead_young_skew ())))
 
-let test_detects_freed_reachable () =
+let scenario_freed_reachable () =
   let rt, _, _ = mk_rt () in
   let o = Runtime.alloc rt ~size:256 () in
   Runtime.add_root rt o;
   o.Obj_.loc <- Obj_.Freed;
   let v = Verify.attach rt Verify.Paranoid in
   Verify.check_now v;
-  check_detects v Verify.Reachability;
+  v
+
+let test_detects_freed_reachable () =
+  check_detects (scenario_freed_reachable ()) Verify.Reachability;
   (* The census only runs at Paranoid. *)
   let rt2, _, _ = mk_rt () in
   let o2 = Runtime.alloc rt2 ~size:256 () in
@@ -222,7 +252,7 @@ let test_detects_freed_reachable () =
   Alcotest.(check bool) "reachability census skipped at Safepoint" false
     (has_rule v2 Verify.Reachability)
 
-let test_detects_clock_reset () =
+let scenario_clock_reset () =
   let rt, _, clock = mk_rt () in
   let _ = Runtime.alloc rt ~size:1024 () in
   Runtime.minor_gc rt;
@@ -232,15 +262,21 @@ let test_detects_clock_reset () =
   Verify.check_now v;
   Clock.reset clock;
   Verify.check_now v;
-  check_detects v Verify.Conservation
+  v
 
-let test_report_names_rules () =
+let test_detects_clock_reset () =
+  check_detects (scenario_clock_reset ()) Verify.Conservation
+
+let scenario_report_names_rules () =
   let rt, _, _ = mk_rt () in
   let heap = Runtime.heap rt in
   heap.H1_heap.old_used <- heap.H1_heap.old_used + 64;
   let v = Verify.attach rt Verify.Safepoint in
   Verify.check_now v;
-  let report = Verify.report v in
+  v
+
+let test_report_names_rules () =
+  let report = Verify.report (scenario_report_names_rules ()) in
   let contains hay needle =
     let hl = String.length hay and nl = String.length needle in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -477,6 +513,112 @@ let prop_plant_clock_reset =
         has_rule v Verify.Conservation
       end)
 
+(* ------------------------------------------------------------------ *)
+(* Report golden: every seeded corruption's full violation list.       *)
+
+(* The detection tests above only ask whether a rule fired; the golden
+   also catches a reordered, duplicated or reworded violation. *)
+
+(* A fixed program that spreads eight labels over several H2 regions,
+   then adds H2-to-young backward references and cross-region H2
+   edges. *)
+let h2_heavy_program =
+  let open Test_gc_props in
+  let n = 48 in
+  List.concat
+    [
+      List.init n (fun i -> Alloc (i mod 3));
+      List.init 16 (fun i -> Pin (i * 3));
+      List.init n (fun i -> Link (i, ((i * 7) + 5) mod n));
+      List.init 8 (fun l -> Tag (l * 6, l));
+      List.init 8 (fun l -> Advise l);
+      [ Major ];
+      List.init n (fun i -> Alloc (i mod 2));
+      List.init n (fun i -> Link ((i * 5) mod n, n + i));
+      List.init 24 (fun i -> Link (i * 2, ((i * 11) + 3) mod n));
+      [ Minor ];
+    ]
+
+(* Plant corruptions across every region at once: clean the segments of
+   every H2 object with a backward reference, drop every dependency
+   edge, skew one H2 object's address and free another H2 object in
+   place. Then check at a manual point and through one minor GC. *)
+let scenario_h2_heavy_paranoid () =
+  let rt, table, _ = Test_gc_props.execute h2_heavy_program in
+  let h2 = Option.get (Runtime.h2 rt) in
+  let ct = H2.card_table h2 in
+  let cfg = H2.config h2 in
+  let in_h2 =
+    List.filter
+      (fun (o : Obj_.t) -> o.Obj_.loc = Obj_.In_h2)
+      (Vec.to_list table)
+  in
+  Alcotest.(check bool) "precondition: several H2 regions" true
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun (o : Obj_.t) -> o.Obj_.h2_region) in_h2))
+    > 2);
+  List.iter
+    (fun (o : Obj_.t) ->
+      let backward = ref false and cross = ref [] in
+      Obj_.iter_refs
+        (fun c ->
+          if Obj_.is_in_h1 c then backward := true
+          else if
+            c.Obj_.loc = Obj_.In_h2 && c.Obj_.h2_region <> o.Obj_.h2_region
+          then cross := c.Obj_.h2_region :: !cross)
+        o;
+      if !backward then begin
+        let gstart = (o.Obj_.h2_region * cfg.H2.region_size) + o.Obj_.addr in
+        let seg_size = H2_card_table.segment_size ct in
+        for
+          s = gstart / seg_size
+          to (gstart + Obj_.total_size o - 1) / seg_size
+        do
+          H2_card_table.set_state ct ~seg:s H2_card_table.Clean
+        done
+      end;
+      List.iter
+        (fun dst ->
+          H2.debug_remove_dependency h2 ~src_region:o.Obj_.h2_region
+            ~dst_region:dst)
+        !cross)
+    in_h2;
+  let v = Verify.attach rt Verify.Paranoid in
+  (match in_h2 with
+  | a :: _ :: b :: _ ->
+      a.Obj_.addr <- a.Obj_.addr + 8;
+      b.Obj_.loc <- Obj_.Freed
+  | _ -> Alcotest.fail "precondition: three H2 objects");
+  Verify.check_now v;
+  (try Runtime.minor_gc rt with
+  | Runtime.Out_of_memory _ | H2.Out_of_h2_space -> ());
+  v
+
+let report_scenarios =
+  [
+    ("cleared H1 card", scenario_cleared_h1_card);
+    ("dropped rset index", scenario_dropped_rset_index);
+    ("misplaced rset entry", scenario_misplaced_rset_entry);
+    ("illegally cleaned H2 card", scenario_illegal_h2_card_clean);
+    ("illegal card transition", scenario_illegal_transition);
+    ("removed dependency edge", scenario_removed_dependency);
+    ("accounting skew", scenario_accounting_skew);
+    ("dead-young counter skew", scenario_dead_young_skew);
+    ("freed but reachable", scenario_freed_reachable);
+    ("clock rollback", scenario_clock_reset);
+    ("report names rules", scenario_report_names_rules);
+    ("H2-heavy paranoid run", scenario_h2_heavy_paranoid);
+  ]
+
+let test_report_golden () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, scenario) ->
+      Printf.bprintf b "== %s\n%s" name (Verify.report (scenario ())))
+    report_scenarios;
+  Test_trace.golden_check ~file:"verify_reports.txt" (Buffer.contents b)
+
 let props =
   [
     prop_clean_safepoint;
@@ -518,5 +660,7 @@ let suite =
       test_detects_clock_reset;
     Alcotest.test_case "report names rule and phase" `Quick
       test_report_names_rules;
+    Alcotest.test_case "seeded-corruption reports match golden" `Quick
+      test_report_golden;
   ]
   @ List.map QCheck_alcotest.to_alcotest props
