@@ -6,7 +6,7 @@
    Every section declares a plan: independent experiment cells plus a
    pure render that consumes results in submission order. The harness
    concatenates the cells of all requested sections into ONE global
-   batch for the work-stealing scheduler (`--jobs N` / `-j N` selects
+   batch for the domain scheduler (`--jobs N` / `-j N` selects
    the domain count, defaulting to the machine's recommended count),
    then runs the renders serially in request order — so stdout is
    byte-identical for every jobs value. Timing goes to stderr, and a
@@ -155,7 +155,7 @@ let () =
   let solo (name, _, _) = name = "micro" in
   let sched = Scheduler.create ~jobs () in
   let wall0 = Wall.now_s () in
-  let log, stats =
+  let log, cells =
     Fun.protect
       ~finally:(fun () -> Scheduler.shutdown sched)
       (fun () ->
@@ -192,13 +192,7 @@ let () =
           Scheduler.with_scheduler ~jobs:1 (fun serial ->
               run_batch serial solos)
         in
-        let stats =
-          {
-            stats with
-            Scheduler.cells = stats.Scheduler.cells + solo_stats.Scheduler.cells;
-            chunks = stats.Scheduler.chunks + solo_stats.Scheduler.chunks;
-          }
-        in
+        let cells = stats.Scheduler.cells + solo_stats.Scheduler.cells in
         (* Renders run serially in request order; each reads only its
            own section's futures. *)
         let timed =
@@ -221,7 +215,7 @@ let () =
             sections = timed;
             total_wall_s = Wall.elapsed_s ~since:wall0;
           },
-          stats ))
+          cells ))
   in
   let json_path =
     match Sys.getenv_opt "TH_BENCH_JSON" with
@@ -237,8 +231,7 @@ let () =
   Printf.eprintf
     "\n\
      (benchmarks completed in %.1f s wall, jobs=%d, measured speedup %.2fx \
-     vs serial; %d cells in %d chunks, %d steals; %s)\n"
+     vs serial; %d cells; %s)\n"
     log.Bench_log.total_wall_s jobs
     (Bench_log.speedup_vs_serial_measured log)
-    stats.Scheduler.cells stats.Scheduler.chunks stats.Scheduler.steals
-    json_path
+    cells json_path

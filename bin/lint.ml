@@ -6,7 +6,6 @@
      --explain RULE       print a rule's documentation and exit
      --list-rules         one-line summary of every rule
      --self-test          run the analyzer over its embedded fixtures
-     --interleave [full]  run the bounded-interleaving deque checker
      -o FILE              write the report to FILE instead of stdout
      paths                files or directories (default: lib bin bench)
 
@@ -23,7 +22,7 @@ let usage () =
   prerr_endline
     "usage: lint.exe [--format text|json|sarif] [--rules r1,r2] [--explain \
      RULE]\n\
-    \       [--list-rules] [--self-test] [--interleave [full]]\n\
+    \       [--list-rules] [--self-test]\n\
     \       [-o FILE] [paths...]";
   exit 2
 
@@ -52,40 +51,6 @@ let list_rules () =
         r.synopsis)
     Th_analysis.Rule.catalog;
   exit 0
-
-(* Exhaustive schedule enumeration over the deque's owner/thief
-   protocol, plus the sanity leg: the harness must reject a variant
-   whose steal skips the CAS. *)
-let interleave ~full =
-  let failed = ref false in
-  let show tag (r : Th_analysis.Deque_check.report) =
-    Printf.printf "interleave %s %-22s %7d schedule(s), %3d outcome(s)%s\n" tag
-      r.config r.schedules r.distinct
-      (if r.violations = [] then "" else ", VIOLATIONS:");
-    List.iter (fun v -> Printf.printf "  not linearizable: %s\n" v) r.violations
-  in
-  List.iter
-    (fun r ->
-      show "deque" r;
-      if r.Th_analysis.Deque_check.violations <> [] then failed := true)
-    (Th_analysis.Deque_check.check ~full ());
-  let buggy = Th_analysis.Deque_check.check_buggy () in
-  List.iter (show "buggy") buggy;
-  if
-    not
-      (List.exists
-         (fun (r : Th_analysis.Deque_check.report) -> r.violations <> [])
-         buggy)
-  then begin
-    Printf.printf
-      "interleave: FAILED — the harness accepted the seeded-bug deque\n";
-    failed := true
-  end;
-  if !failed then exit 1
-  else begin
-    Printf.printf "interleave: deque linearizable, seeded bug rejected\n";
-    exit 0
-  end
 
 let self_test () =
   match Th_analysis.Selftest.run () with
@@ -129,8 +94,6 @@ let () =
     | [ "--explain" ] -> usage ()
     | "--list-rules" :: _ -> list_rules ()
     | "--self-test" :: _ -> self_test ()
-    | "--interleave" :: "full" :: _ -> interleave ~full:true
-    | "--interleave" :: _ -> interleave ~full:false
     | "-o" :: v :: rest | "--output" :: v :: rest ->
         output := Some v;
         parse_args rest

@@ -356,7 +356,7 @@ let cost_hint fw name dram =
   | `Streaming -> Th_exec.Cell.default_cost
 
 (* Split the WORKLOAD argument on commas, run every cell on the
-   work-stealing scheduler, then print the results serially in argument
+   domain scheduler, then print the results serially in argument
    order. *)
 let run_all fw workloads sys thr dram faults jobs verify trace trace_format
     slo soak =

@@ -436,11 +436,9 @@ let analyze ?rules sources =
             }
           in
           run_structure ctx str;
-          (* The atomic-protocol pass (whole-module views of each
-             location) and the raises pass (summaries computed
-             project-wide up front) report raw findings; the same emit
-             applies every waiver to them. *)
-          List.iter (emit_raw ctx) (Atomics.analyze str);
+          (* The raises pass (summaries computed project-wide up
+             front) reports raw findings; the same emit applies every
+             waiver to them. *)
           List.iter (emit_raw ctx) (Raises.check_file rdb s);
           findings := ctx.findings @ !findings;
           waived := ctx.waived @ !waived)

@@ -1,7 +1,7 @@
 (** The rule engine: one pass of syntactic rules per file, a
     cross-library effect analysis (mutable globals and escaping
-    captures at domain-crossing sinks), the atomic-protocol and raises
-    passes — and the one place where waivers are applied.
+    captures at domain-crossing sinks), the raises pass — and the one
+    place where waivers are applied.
 
     The escape-capture rule has a dedicated bless token: [@th.allow
     "domain_shared <justification>"] diverts the finding to [waived].

@@ -31,19 +31,7 @@ let to_text ?waived findings =
 (* ------------------------------------------------------------------ *)
 (* JSON writing                                                        *)
 
-let escape_json b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let escape_json = Th_trace.Export.escape_json
 
 let add_finding b (f : Finding.t) =
   Buffer.add_string b "{\"file\":\"";

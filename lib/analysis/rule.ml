@@ -1,7 +1,6 @@
 type family =
   | Determinism
   | Domain_safety
-  | Atomic_protocol
   | Exception_flow
   | Hygiene
 
@@ -16,7 +15,6 @@ type t = {
 let family_to_string = function
   | Determinism -> "determinism"
   | Domain_safety -> "domain-safety"
-  | Atomic_protocol -> "atomic-protocol"
   | Exception_flow -> "exception-flow"
   | Hygiene -> "invariant-hygiene"
 
@@ -110,7 +108,7 @@ let all =
         "mutable top-level state reachable from a closure run on a worker \
          domain";
       explain =
-        "Benchmark cells submitted to the work-stealing scheduler execute \n\
+        "Benchmark cells submitted to the domain scheduler execute \n\
          on worker domains, and the select/observe callbacks of a \n\
          placement policy run on whichever worker domain owns the runtime \n\
          that installs the policy. The rule inspects every closure passed \n\
@@ -153,72 +151,6 @@ let all =
          a blessed finding is diverted to the waived list, never dropped.";
     };
     {
-      name = "atomic-missing-role";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis = "Atomic.t declaration without a [@th.atomic \"role\"] annotation";
-      explain =
-        "Every Atomic.t in this codebase participates in a protocol the \n\
-         type system cannot express: the deque's top is stolen via CAS, \n\
-         the scheduler's remaining counter is only Atomic.set while \n\
-         workers are quiesced. The [@th.atomic \"...\"] annotation states \n\
-         that protocol next to the declaration — who writes the location, \n\
-         through which primitives, in which phase — so the atomic-protocol \n\
-         rules can cite it in findings and --explain can surface it. \n\
-         Annotate record fields as \n\
-         [top : int Atomic.t [@th.atomic \"top pointer, stolen via CAS\"]] \n\
-         and top-level bindings as \n\
-         [let hits = Atomic.make 0 [@th.atomic \"shared hit counter\"]].";
-    };
-    {
-      name = "atomic-plain-write";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis = "Atomic.set on a location elsewhere updated by CAS-class ops";
-      explain =
-        "A location that other code claims with compare_and_set, \n\
-         fetch_and_add or exchange is contended by construction; a plain \n\
-         Atomic.set to it can overwrite a concurrent RMW that already \n\
-         succeeded — the lost-update race. Reach the new value through \n\
-         compare_and_set (retrying from a fresh read), or, when the store \n\
-         is protocol-safe because no rival can be running (e.g. the \n\
-         scheduler resets counters while every worker is quiesced at the \n\
-         epoch barrier), waive the site stating that phase argument.";
-    };
-    {
-      name = "atomic-plain-read";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis =
-        "Atomic.get of a CAS-contended location with no CAS in the reader";
-      explain =
-        "Reading a CAS-contended location is only meaningful as the input \n\
-         to a CAS that validates the value is still current — the \n\
-         retry-loop idiom, which this rule never flags. A definition that \n\
-         reads such a location and performs no compare_and_set on it is \n\
-         acting on a snapshot that may be stale before the next \n\
-         instruction. Either feed the read into a compare_and_set, or \n\
-         waive the site stating why staleness is acceptable (monitoring \n\
-         counters, size hints like Deque.size that are advisory by \n\
-         contract).";
-    };
-    {
-      name = "atomic-check-then-act";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis = "Atomic.get guarding an Atomic.set to the same location";
-      explain =
-        "if Atomic.get x = v then Atomic.set x v' is the check-then-act \n\
-         race: between the read and the write any other domain can change \n\
-         x, and the set then clobbers that update based on a stale \n\
-         premise. compare_and_set exists precisely to close this window — \n\
-         it re-validates the check and the act as one atomic step. The \n\
-         rule fires on a get of a location guarding a plain set to the \n\
-         same location (through if or while) with no interposing CAS on \n\
-         it; rewrite with compare_and_set, or waive with the protocol \n\
-         phase that rules out rivals.";
-    };
-    {
       name = "fault-barrier";
       family = Exception_flow;
       severity = Finding.Error;
@@ -251,7 +183,7 @@ let all =
         "a thunk handed to a worker-domain sink can leak beyond \
          Out_of_memory/Invalid_heap_state";
       explain =
-        "The work-stealing scheduler captures a cell's exception, drains \n\
+        "The domain scheduler captures a cell's exception, drains \n\
          the batch, and re-raises the first failure on the submitting \n\
          domain — a protocol documented for Out_of_memory and \n\
          Invalid_heap_state only. Any other exception crossing the cell \n\

@@ -9,7 +9,6 @@
 type family =
   | Determinism
   | Domain_safety
-  | Atomic_protocol
   | Exception_flow
   | Hygiene
 

@@ -75,54 +75,8 @@ let cases =
         \  List.map (fun x -> Th_exec.Cell.make (fun () -> acc := !acc + x; x)) xs\n";
       negative =
         "let cells xs =\n\
-        \  let hits = Atomic.make 0 [@th.atomic \"shared hit counter\"] in\n\
+        \  let hits = Atomic.make 0 in\n\
         \  List.map (fun x -> Th_exec.Cell.make (fun () -> Atomic.incr hits; x)) xs\n";
-    };
-    {
-      rule = "atomic-missing-role";
-      positive =
-        "let pending = Atomic.make 0\n\nlet bump () = Atomic.incr pending\n";
-      negative =
-        "let pending =\n\
-        \  Atomic.make 0 [@th.atomic \"outstanding cells, bumped via RMW\"]\n\n\
-         let bump () = Atomic.incr pending\n";
-    };
-    {
-      rule = "atomic-plain-write";
-      positive =
-        "type t = { top : int Atomic.t [@th.atomic \"cursor, claimed via CAS\"] }\n\n\
-         let steal t =\n\
-        \  let v = Atomic.get t.top in\n\
-        \  if Atomic.compare_and_set t.top v (v + 1) then Some v else None\n\n\
-         let reset t = Atomic.set t.top 0\n";
-      negative =
-        "type t = { top : int Atomic.t [@th.atomic \"cursor, claimed via CAS\"] }\n\n\
-         let steal t =\n\
-        \  let v = Atomic.get t.top in\n\
-        \  if Atomic.compare_and_set t.top v (v + 1) then Some v else None\n";
-    };
-    {
-      rule = "atomic-plain-read";
-      positive =
-        "type t = { size : int Atomic.t [@th.atomic \"count, reconciled via CAS\"] }\n\n\
-         let rec add t n =\n\
-        \  let v = Atomic.get t.size in\n\
-        \  if not (Atomic.compare_and_set t.size v (v + n)) then add t n\n\n\
-         let peek t = Atomic.get t.size\n";
-      negative =
-        "type t = { size : int Atomic.t [@th.atomic \"count, reconciled via CAS\"] }\n\n\
-         let rec add t n =\n\
-        \  let v = Atomic.get t.size in\n\
-        \  if not (Atomic.compare_and_set t.size v (v + n)) then add t n\n";
-    };
-    {
-      rule = "atomic-check-then-act";
-      positive =
-        "let closed = Atomic.make false [@th.atomic \"one-shot shutdown latch\"]\n\n\
-         let shutdown () = if not (Atomic.get closed) then Atomic.set closed true\n";
-      negative =
-        "let closed = Atomic.make false [@th.atomic \"one-shot shutdown latch\"]\n\n\
-         let shutdown () = ignore (Atomic.compare_and_set closed false true)\n";
     };
     {
       rule = "fault-barrier";
@@ -248,17 +202,6 @@ let run () =
       check "comment waiver preserves the finding as waived"
         (has_rule "hashtbl-order" r.Engine.waived)
   | Error m -> failures := ("waiver probe does not parse: " ^ m) :: !failures);
-  (* The bounded-interleaving harness: the real deque must pass the
-     quick configurations, and the seeded-bug variant must fail at
-     least one — otherwise the harness has lost its teeth. *)
-  check "interleave: deque linearizable under quick configs"
-    (List.for_all
-       (fun (r : Deque_check.report) -> r.violations = [])
-       (Deque_check.check ()));
-  check "interleave: seeded-bug deque rejected"
-    (List.exists
-       (fun (r : Deque_check.report) -> r.violations <> [])
-       (Deque_check.check_buggy ()));
   match !failures with
   | [] -> Ok !passed
   | msgs -> Error (List.rev msgs)

@@ -1,6 +1,6 @@
 (* Shared AST helpers for the analysis passes: longident flattening,
    waiver-attribute parsing, pattern utilities, and the one scope-aware
-   walk. Every pass (Engine, Atomics, Raises, Callgraph) speaks this
+   walk. Every pass (Engine, Raises, Callgraph) speaks this
    dialect. *)
 
 open Parsetree
@@ -118,18 +118,6 @@ let attr_raises (attrs : attributes) =
         | None -> acc
       else acc)
     None attrs
-
-(* [@th.atomic "role"] — the role annotation required on every Atomic.t
-   declaration. Returns the role string when present and non-empty. *)
-let attr_atomic_role (attrs : attributes) =
-  List.find_map
-    (fun a ->
-      if String.equal a.attr_name.txt "th.atomic" then
-        match string_payload a.attr_payload with
-        | Some s when String.trim s <> "" -> Some (String.trim s)
-        | _ -> None
-      else None)
-    attrs
 
 let rec pat_vars p =
   match p.ppat_desc with

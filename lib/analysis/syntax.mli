@@ -1,7 +1,7 @@
 (** Shared AST helpers for the analysis passes.
 
     Everything here is purely syntactic: longident flattening, waiver
-    attribute parsing ([[@th.allow "..."]], [[@th.atomic "..."]]),
+    attribute parsing ([[@th.allow "..."]], [[@@th.raises "..."]]),
     pattern variable/constructor collection, and the one scope-aware
     walk with its binding table. *)
 
@@ -50,10 +50,6 @@ val attr_raises :
     and only escapes applications passing [~checked] as other than a
     literal [false]. [Some []] (payload [""] or ["none"]) declares
     that nothing escapes; [None] means no declaration at all. *)
-
-val attr_atomic_role : Parsetree.attributes -> string option
-(** The role string of a [[@th.atomic "role"]] attribute, trimmed;
-    [None] when absent or empty. *)
 
 val pat_vars : Parsetree.pattern -> string list
 

@@ -27,8 +27,9 @@ let cell b ?label ?cost f =
   in
   (* The slot is written by whichever worker domain runs the cell and
      read by the coordinator after the batch; Atomic publication makes
-     the hand-off explicit rather than leaning on the join fence. *)
-  let slot = Atomic.make None [@th.atomic "cell result, written once by the executing domain"] in
+     the hand-off explicit rather than leaning on the scheduler's
+     end-of-batch mutex. *)
+  let slot = Atomic.make None in
   let c =
     Cell.make ~label ?cost ~lane:b.count (fun () -> Atomic.set slot (Some (f ())))
   in

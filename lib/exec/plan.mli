@@ -10,8 +10,7 @@
     The harness submits the cells of every requested section as one
     global batch (cross-section batching), so a run like
     [bench fig6 fig7 fig8 fig9 --jobs N] exposes the full cell
-    population to the work-stealing scheduler instead of 2–4 cells at
-    a time. *)
+    population to the scheduler instead of 2–4 cells at a time. *)
 
 type 'a future
 (** The result of a registered cell. *)

@@ -38,7 +38,7 @@ let serial_equiv_s t =
 
 (* Measured speedup: serial-equivalent over actual wall. Both terms are
    monotonic-clock measurements of this very run, so scheduler idle time
-   and steal overhead show up honestly. *)
+   and dispatch overhead show up honestly. *)
 let speedup_vs_serial_measured t =
   if t.total_wall_s > 0.0 then serial_equiv_s t /. t.total_wall_s else 1.0
 
@@ -51,16 +51,7 @@ let json_float f =
 let json_string s =
   let buf = Buffer.create (String.length s + 2) in
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Th_trace.Export.escape_json buf s;
   Buffer.add_char buf '"';
   Buffer.contents buf
 

@@ -9,6 +9,12 @@ val merge : Recorder.t list -> Event.t list
 (** Events of several recorders concatenated in the given (lane) order;
     each recorder's own events stay in recording order. *)
 
+val escape_json : Buffer.t -> string -> unit
+(** [escape_json b s] appends [s] as the body of a JSON string literal
+    (no surrounding quotes): quote, backslash, newline, tab and carriage
+    return get their short escapes, other control bytes become
+    [\u00XX], and every other byte is copied through. *)
+
 val to_chrome_json : Event.t list -> string
 (** Chrome trace-event JSON ({"traceEvents": [...]}), loadable in
     Perfetto and chrome://tracing. Timestamps convert to microseconds

@@ -361,16 +361,16 @@ let test_json_bytes () =
    ^ ".ml\",\"line\":3,\"col\":4,\"rule\":\"escape-capture\",\"severity\":\"error\",\"message\":\"probe "
    ^ escaped
    ^ "\"}],\n\"waived\":[{\"file\":\"lib/" ^ escaped
-   ^ ".ml\",\"line\":9,\"col\":4,\"rule\":\"atomic-plain-write\",\"severity\":\"warning\",\"message\":\"probe "
+   ^ ".ml\",\"line\":9,\"col\":4,\"rule\":\"float-equality\",\"severity\":\"warning\",\"message\":\"probe "
    ^ escaped ^ "\"}]}\n")
     (Report.to_json
-       ~waived:[ report_finding "atomic-plain-write" 9 Finding.Warning ]
+       ~waived:[ report_finding "float-equality" 9 Finding.Warning ]
        [ report_finding "escape-capture" 3 Finding.Error ])
 
 let test_sarif_shape () =
   let doc =
     Report.to_sarif
-      ~waived:[ report_finding "atomic-plain-write" 9 Finding.Warning ]
+      ~waived:[ report_finding "float-equality" 9 Finding.Warning ]
       [ report_finding "escape-capture" 3 Finding.Error ]
   in
   let result ~rule ~level ~line ~suppressed =
@@ -402,7 +402,7 @@ let test_sarif_shape () =
   Alcotest.(check string) "SARIF results bytes"
     (result ~rule:"escape-capture" ~level:"error" ~line:"3" ~suppressed:false
     ^ ",\n"
-    ^ result ~rule:"atomic-plain-write" ~level:"warning" ~line:"9"
+    ^ result ~rule:"float-equality" ~level:"warning" ~line:"9"
         ~suppressed:true
     ^ "]}]}\n")
     (String.sub doc r (dl - r));

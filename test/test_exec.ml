@@ -1,4 +1,4 @@
-(* Tests of the work-stealing executor and of the harness determinism
+(* Tests of the cell scheduler and of the harness determinism
    contract: scheduled execution returns results in submission order,
    so rendering (and therefore CSV/report output) is byte-identical to
    a serial run. *)
@@ -6,7 +6,6 @@
 module Scheduler = Th_exec.Scheduler
 module Cell = Th_exec.Cell
 module Plan = Th_exec.Plan
-module Deque = Th_exec.Deque
 module Wall = Th_exec.Wall
 module Csv = Th_metrics.Csv
 module Setups = Th_baselines.Setups
@@ -88,62 +87,59 @@ let test_scheduled_csv_identical () =
   Alcotest.(check string) "serial and scheduled CSV bytes" serial scheduled
 
 (* ------------------------------------------------------------------ *)
-(* Deque: owner pops the bottom (LIFO), thieves steal the top (FIFO).  *)
+(* Scheduler: concurrent claims and the longest-first claim order.     *)
 
-let test_deque_lifo_fifo () =
-  let d = Deque.create ~capacity:4 in
-  List.iter (Deque.push d) [ 1; 2; 3; 4 ];
-  Alcotest.(check (option int)) "thief steals the oldest" (Some 1)
-    (Deque.steal d);
-  Alcotest.(check (option int)) "owner pops the newest" (Some 4) (Deque.pop d);
-  Alcotest.(check (option int)) "steal again" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "pop the last" (Some 3) (Deque.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Deque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Deque.steal d);
-  Alcotest.check_raises "push past capacity"
-    (Invalid_argument "Deque.push: capacity exceeded") (fun () ->
-      let d = Deque.create ~capacity:1 in
-      Deque.push d 1;
-      Deque.push d 2)
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler: the steal path, forced deterministically with [pin].     *)
-
-(* Every chunk is pinned onto domain 1, so the submitting domain (0)
-   starts with an empty deque and can only make progress by stealing. *)
-let test_forced_steals () =
+(* Each of the two cells waits for the other to start, so the batch can
+   only finish if the two domains claim them at the same time. A serial
+   dispatch would leave the first cell waiting on a cell that never
+   starts: the bounded wait then fails the test instead of hanging. *)
+let test_concurrent_claim () =
   Scheduler.with_scheduler ~jobs:2 (fun t ->
-      let cells =
-        List.init 16 (fun i ->
-            Cell.make ~label:(Printf.sprintf "steal-%d" i) ~lane:i (fun () ->
-                Unix.sleepf 0.002;
-                i))
+      let cell ~label mine peer =
+        Cell.make ~label (fun () ->
+            Atomic.set mine true;
+            let deadline = Wall.now_s () +. 5.0 in
+            while (not (Atomic.get peer)) && Wall.now_s () < deadline do
+              Domain.cpu_relax ()
+            done;
+            Atomic.get peer)
       in
-      let results = Scheduler.run_cells ~pin:(fun _ -> 1) ~chunk_max:1 t cells in
-      Alcotest.(check (list int))
-        "submission order despite steals"
-        (List.init 16 Fun.id) results;
+      let a = Atomic.make false and b = Atomic.make false in
+      let saw_peer =
+        Scheduler.run_cells t [ cell ~label:"a" a b; cell ~label:"b" b a ]
+      in
+      Alcotest.(check (list bool))
+        "each cell saw the other start" [ true; true ] saw_peer;
       let stats = Scheduler.last_batch t in
-      Alcotest.(check int) "one chunk per cell" 16 stats.Scheduler.chunks;
+      Alcotest.(check int) "cells counted" 2 stats.Scheduler.cells;
       Alcotest.(check bool)
-        "the idle domain stole work" true
-        (stats.Scheduler.steals > 0);
-      Alcotest.(check int)
-        "per-cell wall times recorded" 16
-        (Array.length stats.Scheduler.cell_wall_s);
-      Alcotest.(check bool)
-        "wall times are positive" true
-        (Array.for_all (fun w -> w > 0.0) stats.Scheduler.cell_wall_s))
+        "wall times recorded and positive" true
+        (Array.length stats.Scheduler.cell_wall_s = 2
+        && Array.for_all (fun w -> w > 0.0) stats.Scheduler.cell_wall_s))
 
-let test_pin_out_of_range () =
-  Scheduler.with_scheduler ~jobs:2 (fun t ->
-      Alcotest.check_raises "pin must land inside [0, jobs)"
-        (Invalid_argument "Scheduler.run_cells: pin out of range") (fun () ->
-          ignore
-            (Scheduler.run_cells
-               ~pin:(fun _ -> 2)
-               t
-               [ Cell.make (fun () -> 1) ])))
+(* With one domain the claim order is the execution order: descending
+   cost, ties in submission order. *)
+let test_claim_order () =
+  Scheduler.with_scheduler ~jobs:1 (fun t ->
+      let ran = ref [] in
+      let costs = [ 1.0; 5.0; 2.0; 5.0; 1.0; 9.0 ] in
+      let cells =
+        List.mapi
+          (fun i cost ->
+            Cell.make ~label:(string_of_int i) ~cost ~lane:i (fun () ->
+                (ran := i :: !ran)
+                [@th.allow
+                  "domain_shared jobs = 1 spawns no worker: every cell runs \
+                   on this domain"];
+                i))
+          costs
+      in
+      let results = Scheduler.run_cells t cells in
+      Alcotest.(check (list int))
+        "results in submission order" [ 0; 1; 2; 3; 4; 5 ] results;
+      Alcotest.(check (list int))
+        "cells ran longest-first, stable on submission index"
+        [ 5; 1; 3; 2; 0; 4 ] (List.rev !ran))
 
 (* ------------------------------------------------------------------ *)
 (* Plan: futures, grouped regrouping, read-before-run.                 *)
@@ -186,29 +182,28 @@ let test_plan_get_before_run () =
     (fun () -> ignore (Plan.get x))
 
 (* ------------------------------------------------------------------ *)
-(* Property: for ANY cost vector, chunking and jobs count, the
+(* Property: for ANY cost vector and jobs count, the
    scheduler returns submission-order results and a render over those
    results is byte-identical to the serial reference.                  *)
 
 let prop_scheduler_deterministic =
   let gen =
     QCheck.Gen.(
-      triple
+      pair
         (list_size (int_range 0 40) (int_range (-5) 80))
-        (int_range 1 6)
         (oneofl [ 1; 2; 4; 8 ]))
   in
   let arb =
     QCheck.make
-      ~print:(fun (costs, chunk_max, jobs) ->
-        Printf.sprintf "costs(x0.1)=[%s] chunk_max=%d jobs=%d"
+      ~print:(fun (costs, jobs) ->
+        Printf.sprintf "costs(x0.1)=[%s] jobs=%d"
           (String.concat ";" (List.map string_of_int costs))
-          chunk_max jobs)
+          jobs)
       gen
   in
   QCheck.Test.make ~count:40
     ~name:"random cell DAGs render byte-identically at any jobs" arb
-    (fun (deci_costs, chunk_max, jobs) ->
+    (fun (deci_costs, jobs) ->
       let cells =
         List.mapi
           (fun i dc ->
@@ -226,7 +221,7 @@ let prop_scheduler_deterministic =
       in
       let scheduled =
         Scheduler.with_scheduler ~jobs (fun t ->
-            render (Scheduler.run_cells ~chunk_max t cells))
+            render (Scheduler.run_cells t cells))
       in
       String.equal serial scheduled)
 
@@ -241,10 +236,9 @@ let suite =
       test_wall_clock_monotonic;
     Alcotest.test_case "pooled CSV identical to serial" `Slow
       test_scheduled_csv_identical;
-    Alcotest.test_case "deque LIFO owner / FIFO thief" `Quick
-      test_deque_lifo_fifo;
-    Alcotest.test_case "pinned batch forces steals" `Quick test_forced_steals;
-    Alcotest.test_case "pin out of range rejected" `Quick test_pin_out_of_range;
+    Alcotest.test_case "both domains claim concurrently" `Quick
+      test_concurrent_claim;
+    Alcotest.test_case "claim order is longest-first" `Quick test_claim_order;
     Alcotest.test_case "plan futures and grouped regroup" `Quick
       test_plan_futures;
     Alcotest.test_case "plan future read before run" `Quick

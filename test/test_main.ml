@@ -25,7 +25,6 @@ let () =
       ("streaming", Test_streaming.suite);
       ("trace", Test_trace.suite);
       ("analysis", Test_analysis.suite);
-      ("interleave", Test_interleave.suite);
       ("dacapo-misc", Test_dacapo.suite);
       ("integration", Test_integration.suite);
     ]
