@@ -206,10 +206,14 @@ let move_advised t ~label = Hashtbl.mem t.move_advice label
 
 let clear_move_advice t ~label = Hashtbl.remove t.move_advice label
 
-let tagged_roots t =
+let prune_tagged t =
   Vec.filter_in_place
     (fun (o : Obj_.t) -> o.Obj_.label >= 0 && o.Obj_.loc <> Obj_.In_h2 && o.Obj_.loc <> Obj_.Freed)
     t.tagged;
+  Vec.release_slack t.tagged
+
+let tagged_roots t =
+  prune_tagged t;
   Vec.to_list t.tagged
 
 (* A degraded compaction left this labelled object in H1. Its original
@@ -352,7 +356,7 @@ let open_region t ~label ~key =
   r.live <- false;
   r.deps <- [];
   Vec.clear r.objects;
-  Vec.shrink_to_fit r.objects;
+  Vec.release_slack r.objects;
   r.buffer_fill <- 0;
   r.seg_index <- [||];
   t.group_parent.(idx) <- idx;
@@ -494,7 +498,7 @@ let free_dead_regions t ~on_free =
       r.deps <- [];
       r.buffer_fill <- 0;
       Vec.clear r.objects;
-      Vec.shrink_to_fit r.objects;
+      Vec.release_slack r.objects;
       r.seg_index <- [||];
       t.group_parent.(i) <- i;
       Vec.push t.free_regions i;

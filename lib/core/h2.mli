@@ -125,6 +125,12 @@ val move_advised : t -> label:int -> bool
 val clear_move_advice : t -> label:int -> unit
 (** Called by the collector once the labelled objects have moved. *)
 
+val prune_tagged : t -> unit
+(** Drop the tagged roots that have since moved to H2 or been freed, and
+    release the list's slack. Pruning early changes nothing observable
+    (the dropped states are final); the major GC calls it once its frees
+    are done, so the list keeps no freed object reachable. *)
+
 val tagged_roots : t -> Th_objmodel.Heap_object.t list
 (** Root key-objects tagged but not yet moved, freshest last. *)
 

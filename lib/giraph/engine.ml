@@ -106,9 +106,6 @@ let run rt ~mode ?ooc_device ?(ooc_dr2 = Size.paper_gb 15) ~prng ~algo params =
   let incoming : Msg_store.t option ref = ref None in
   let total_msgs = ref 0 in
   let msg_offload_top = ref (Size.paper_gb 512) in
-  if Sys.getenv_opt "TH_DEBUG_OOC" <> None then
-    Printf.eprintf "[engine] graph loaded, old_used=%s\n%!"
-      (Size.to_string (Runtime.heap rt).Th_minijvm.H1_heap.old_used);
   let superstep_mark ~ending step =
     let clock = Runtime.clock rt in
     match Clock.tracer clock with
@@ -124,9 +121,6 @@ let run rt ~mode ?ooc_device ?(ooc_dr2 = Size.paper_gb 15) ~prng ~algo params =
   in
   for step = 1 to algo.supersteps do
     superstep_mark ~ending:false step;
-    if Sys.getenv_opt "TH_DEBUG_OOC" <> None then
-      Printf.eprintf "[engine] superstep %d old_used=%s\n%!" step
-        (Size.to_string (Runtime.heap rt).Th_minijvm.H1_heap.old_used);
     (* Figure 5 step 4: at the beginning of each superstep, advise moving
        the previous superstep's (now immutable) messages. *)
     if teraheap && step >= 2 then Runtime.h2_move rt ~label:(step - 1);

@@ -71,8 +71,6 @@ let load rt ~prng ~partitions ~vertices ~avg_degree ~edge_bytes
               v)
         in
         let p = { pid; pobj; vertices = vs; offloaded_edge_bytes = 0 } in
-        if Sys.getenv_opt "TH_DEBUG_OOC" <> None then
-          Printf.eprintf "[load] partition %d done\n%!" pid;
         on_partition_loaded p;
         p)
   in

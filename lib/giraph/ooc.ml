@@ -84,9 +84,6 @@ let maybe_offload_list t candidates =
     (occupancy t -. t.threshold)
     *. float_of_int heap.H1_heap.old_capacity
   in
-  if Sys.getenv_opt "TH_DEBUG_OOC" <> None then
-    Printf.eprintf "[ooc] occ=%.2f excess=%s\n%!" (occupancy t)
-      (Th_sim.Size.to_string (max 0 (int_of_float excess)));
   if excess > 0.0 then begin
     let freed = ref 0 in
     let continue_ = ref true in

@@ -128,26 +128,15 @@ let promote t o ~addr =
   o.Obj_.addr <- addr;
   push_old t o
 
-let filter_old t keep =
-  Card_table.reset_index t.cards;
-  Vec.filter_in_place
-    (fun (o : Obj_.t) ->
-      if keep o then begin
-        Card_table.note_object_start t.cards ~addr:o.Obj_.addr;
-        true
-      end
-      else false)
-    t.old_objs
-
 (* After a full collection the space vectors hold only live entries, but
    the slack of their backing arrays still references every object
-   filtered out since the last reallocation — dead objects would stay
-   reachable from the OCaml heap forever. Major GCs are rare, so the
-   reallocation cost is negligible. *)
+   dropped since: dead objects would stay reachable from the OCaml heap
+   forever. Overwriting the slack keeps the storage (no reallocation per
+   cycle). *)
 let compact_after_major t =
-  Vec.shrink_to_fit t.old_objs;
-  Vec.shrink_to_fit t.eden;
-  Vec.shrink_to_fit t.survivor
+  Vec.release_slack t.old_objs;
+  Vec.release_slack t.eden;
+  Vec.release_slack t.survivor
 
 let to_survivor t o =
   let bytes = Obj_.total_size o in

@@ -99,16 +99,10 @@ val push_old : t -> Th_objmodel.Heap_object.t -> unit
     [old_objs] and the object-start index. Used by the G1
     humongous-allocation path. *)
 
-val filter_old : t -> (Th_objmodel.Heap_object.t -> bool) -> unit
-(** [filter_old t keep] filters [old_objs] in place, in order, and
-    rebuilds the card table's object-start index from the kept objects.
-    [keep] runs once per object and may reassign the object's address
-    (sliding compaction) before accepting it; the kept addresses must
-    stay ascending. *)
-
 val compact_after_major : t -> unit
-(** Shrink the space vectors' backing arrays to their lengths, releasing
-    the slack that still references dead objects. *)
+(** Make the space vectors' backing arrays reference only live entries:
+    {!Th_sim.Vec.release_slack} on each. The major GC filters [old_objs]
+    in place and rebuilds the object-start index itself. *)
 
 val to_survivor : t -> Th_objmodel.Heap_object.t -> unit
 (** Copy a live eden/survivor object into the target survivor space. *)

@@ -2,23 +2,27 @@ type kind = Data | Array_data | Jvm_metadata | Weak_reference | Temp
 
 type location = Eden | Survivor | Old | In_h2 | Freed
 
+(* Collector-first layout: the fields every full collection reads for
+   every object sit in the record's first 80 bytes (the block header
+   included), so a mark or compaction walk touches one or two cache
+   lines per object instead of three. *)
 type t = {
+  mutable loc : location;
+  mutable mark : int;
+  mutable nrefs : int;
+  mutable refs : t array;
+  size : int;
+  mutable addr : int;
+  mutable new_addr : int;
+  mutable region_slack : int;
+  mutable age : int;
   id : int;
   kind : kind;
-  size : int;
-  mutable refs : t array;
-  mutable nrefs : int;
-  mutable loc : location;
-  mutable addr : int;
   mutable h2_region : int;
   mutable label : int;
   mutable site : int;
-  mutable age : int;
-  mutable mark : int;
   mutable closure_mark : int;
-  mutable new_addr : int;
   mutable root_pin : int;
-  mutable region_slack : int;
 }
 
 let header_bytes = 16
@@ -76,10 +80,16 @@ let remove_ref parent child =
     for j = i to parent.nrefs - 2 do
       parent.refs.(j) <- parent.refs.(j + 1)
     done;
-    parent.nrefs <- parent.nrefs - 1
+    parent.nrefs <- parent.nrefs - 1;
+    (* The vacated slot would keep the removed child reachable in the
+       host heap after it dies; the slack references the parent itself,
+       as [grow_refs] fills it. *)
+    parent.refs.(parent.nrefs) <- parent
   end
 
-let clear_refs t = t.nrefs <- 0
+let clear_refs t =
+  Array.fill t.refs 0 t.nrefs t;
+  t.nrefs <- 0
 
 let iter_refs f t =
   for i = 0 to t.nrefs - 1 do

@@ -23,28 +23,32 @@ type location =
   | Freed  (** reclaimed by the simulated collector; access is a bug *)
 
 type t = {
+  mutable loc : location;
+  mutable mark : int;  (** liveness mark epoch *)
+  mutable nrefs : int;
+  mutable refs : t array;
+  size : int;  (** bytes, including the header *)
+  mutable addr : int;  (** byte offset in old gen or within its H2 region *)
+  mutable new_addr : int;  (** forwarding address set by precompaction *)
+  mutable region_slack : int;
+      (** unusable space pinned by this object under region-based
+          allocators: the tail of a G1 humongous region (§7.1) *)
+  mutable age : int;  (** minor GCs survived *)
   id : int;
   kind : kind;
-  size : int;  (** bytes, including the header *)
-  mutable refs : t array;
-  mutable nrefs : int;
-  mutable loc : location;
-  mutable addr : int;  (** byte offset in old gen or within its H2 region *)
   mutable h2_region : int;  (** region index, or -1 *)
   mutable label : int;  (** TeraHeap label header word, or -1 *)
   mutable site : int;
       (** allocation site of the tag that labelled this object (an
           identifier stable across runs of the same workload), or -1;
           placement policies key lifetime profiles on it *)
-  mutable age : int;  (** minor GCs survived *)
-  mutable mark : int;  (** liveness mark epoch *)
   mutable closure_mark : int;  (** H2-candidate tag epoch *)
-  mutable new_addr : int;  (** forwarding address set by precompaction *)
   mutable root_pin : int;  (** times registered as a GC root *)
-  mutable region_slack : int;
-      (** unusable space pinned by this object under region-based
-          allocators: the tail of a G1 humongous region (§7.1) *)
 }
+(** Field order is part of the design: the nine fields a full collection
+    reads for every object ([loc] to [age]) come first, so they share the
+    block's first cache lines; the fields only TeraHeap, placement and
+    the root set read follow. *)
 
 val header_bytes : int
 (** Vanilla object header size (16 B: mark word + klass pointer). *)

@@ -22,12 +22,18 @@ let is_root (o : Heap_object.t) = o.Heap_object.root_pin > 0
 let compact t =
   if t.needs_compact then begin
     Vec.filter_in_place is_root t.objs;
+    (* The slack would keep removed roots reachable after they die. *)
+    Vec.release_slack t.objs;
     t.needs_compact <- false
   end
 
 let iter f t =
   compact t;
   Vec.iter f t.objs
+
+let objects t =
+  compact t;
+  t.objs
 
 let to_list t =
   compact t;

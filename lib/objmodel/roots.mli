@@ -18,6 +18,11 @@ val is_root : Heap_object.t -> bool
 
 val iter : (Heap_object.t -> unit) -> t -> unit
 
+val objects : t -> Heap_object.t Th_sim.Vec.t
+(** The registered objects, each once, in the order {!iter} visits them.
+    This is the root set's own storage, for closure-free loops: read it,
+    never modify it, and re-fetch it after any {!add} or {!remove}. *)
+
 val to_list : t -> Heap_object.t list
 
 val count : t -> int

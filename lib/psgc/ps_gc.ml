@@ -67,7 +67,8 @@ let note_death (rt : Rt.t) (o : Obj_.t) =
    passed to [Clock.advance] as the same boxed float every time. The
    simulated float additions are unchanged, one by one and in order.
    The host allocates nothing per reference visited; per object, only
-   the byte-proportional copy charges still box their value. *)
+   the minor GC's byte-proportional copy charges still box their value
+   (the major GC also keeps its charges unboxed, see below). *)
 
 (* [per_gen rt f] evaluates [f] once for each generation multiplier of
    the cost profile and returns the selector by object location: young
@@ -303,6 +304,15 @@ let minor_gc (rt : Rt.t) =
 (* ------------------------------------------------------------------ *)
 (* Major GC                                                            *)
 
+(* The full collection's four phases are index loops with no closures:
+   the benchmark builds with -opaque, so a [Vec.iter] closure, a
+   [Clock.advance] or an [Obj_.total_size] is a real call, and every
+   call spills the loop's registers. Each loop keeps its simulated
+   charges in a local float (see {!Clock.read}), adding the same charges
+   in the same order as one [Clock.advance] each, and commits it before
+   any call that could read or charge the clock. The charge constants
+   are checked for sign once, where they are computed. *)
+
 (* Work that is single-threaded under PS (OpenJDK8 old-generation
    collection) but parallel under the JDK11/G1 variants. *)
 let major_charge rt ns =
@@ -316,21 +326,47 @@ let major_charge rt ns =
 
 let charge_major rt ns = Rt.charge rt Clock.Major_gc (major_charge rt ns)
 
-let g1_skip_copy rt (o : Obj_.t) =
-  (* G1 never evacuates humongous objects; mixed collections also copy
-     only a subset of regions. The subset factor is applied at the charge
-     site; humongous objects are skipped entirely. *)
-  rt.Rt.collector = Rt.G1
-  && o.Obj_.kind = Obj_.Array_data
-  && Obj_.total_size o > rt.Rt.g1_region_size / 2
+(* A charge added to a local accumulator skips [Clock.advance]'s sign
+   check, so it is checked here instead, with the same exception. *)
+let checked_charge ns =
+  if ns < 0.0 then invalid_arg "Clock.advance: negative charge";
+  ns
 
 let g1_copy_factor rt =
+  (* G1 mixed collections copy only a subset of regions. *)
   match rt.Rt.collector with Rt.G1 -> 0.35 | Rt.Ps | Rt.Ps_jdk11 -> 1.0
+
+(* [Obj_.total_size o] is [o.size + obj_overhead]; spelled out in the
+   loops below to save a cross-module call per object. *)
+let obj_overhead = Obj_.header_bytes + Obj_.label_word_bytes
+
+(* A full object stack grows to twice its size (the marking stack starts
+   at 1024 slots), the new slots filled with [o], the live object being
+   pushed, so no slot ever references a dead one. *)
+let grow_objs objs (o : Obj_.t) =
+  let n = Array.length objs in
+  let objs' = Array.make (if n = 0 then 1024 else 2 * n) o in
+  Array.blit objs 0 objs' 0 n;
+  objs'
+
+(* Free every object of a young space vector still located in that
+   space, then empty the vector. *)
+let sweep_young (rt : Rt.t) objs loc =
+  let data = Vec.view objs in
+  for i = 0 to Vec.length objs - 1 do
+    let o = data.(i) in
+    if o.Obj_.loc = loc then begin
+      note_death rt o;
+      H1_heap.free_object rt.Rt.heap o
+    end
+  done;
+  Vec.clear objs
 
 let major_gc (rt : Rt.t) =
   let heap = rt.Rt.heap in
   let costs = rt.Rt.costs in
   let clock = rt.Rt.clock in
+  let profile = rt.Rt.profile in
   let advance ns = Clock.advance clock Clock.Major_gc ns in
   Rt.safepoint rt Rt.Before_major;
   rt.Rt.in_gc <- true;
@@ -356,39 +392,26 @@ let major_gc (rt : Rt.t) =
     (d.Clock.major_gc_ns, Clock.breakdown rt.Rt.clock)
   in
   trace_span_begin rt ~name:"marking";
-  (* Charge constants (see "Allocation-free tracing" above). *)
-  let trace_ref = major_charge rt costs.Costs.trace_ref_ns in
-  let trace_ref_of =
-    per_gen rt (fun m -> major_charge rt (costs.Costs.trace_ref_ns *. m))
-  in
-  let mark_object =
-    per_gen rt (fun m -> major_charge rt (costs.Costs.mark_obj_ns *. m))
-  in
-  let half_mark = major_charge rt (costs.Costs.mark_obj_ns *. 0.5) in
+  (* Charge constants, per generation of the object charged: young
+     objects pay the young multiplier, old ones the old multiplier. *)
+  let trace_ref = checked_charge (major_charge rt costs.Costs.trace_ref_ns) in
+  let gen_charge ns m = checked_charge (major_charge rt (ns *. m)) in
+  let young_mult = profile.Cost_profile.young_mult in
+  let old_mult = profile.Cost_profile.old_mult in
+  let trace_young = gen_charge costs.Costs.trace_ref_ns young_mult in
+  let trace_old = gen_charge costs.Costs.trace_ref_ns old_mult in
+  let mark_young = gen_charge costs.Costs.mark_obj_ns young_mult in
+  let mark_old = gen_charge costs.Costs.mark_obj_ns old_mult in
+  let half_mark = gen_charge costs.Costs.mark_obj_ns 0.5 in
 
   (* --- Phase 1: marking ------------------------------------------- *)
   (match rt.Rt.h2 with None -> () | Some h2 -> H2.clear_live_bits h2);
-  let worklist = Vec.create () in
-  let live = Vec.create () in
+  (* Backward references (H2 to H1) keep their targets live. The H2 card
+     scan charges its own work between visits, so each reference is
+     charged on the clock as it is found; the targets are pushed below,
+     before the roots, in the order found. *)
+  let backward = Vec.create () in
   let backward_refs = ref 0 in
-  let push (o : Obj_.t) =
-    match o.Obj_.loc with
-    | Obj_.In_h2 ->
-        (* Forward reference (H1 to H2): fence, set the region live bit. *)
-        (match rt.Rt.h2 with
-        | Some h2 -> H2.mark_live_from_h1 h2 o
-        | None ->
-            Rt.invalid_heap_state ~object_id:o.Obj_.id
-              ~phase:"major marking: In_h2 object without an H2 heap")
-    | Obj_.Freed -> ()
-    | Obj_.Eden | Obj_.Survivor | Obj_.Old ->
-        if o.Obj_.mark <> epoch then begin
-          o.Obj_.mark <- epoch;
-          Vec.push live o;
-          Vec.push worklist o
-        end
-  in
-  (* Mark H1 objects referenced by H2 as live (backward references). *)
   (match rt.Rt.h2 with
   | None -> ()
   | Some h2 ->
@@ -398,26 +421,102 @@ let major_gc (rt : Rt.t) =
             if Obj_.is_in_h1 c then begin
               incr backward_refs;
               advance trace_ref;
-              push c
+              Vec.push backward c
             end
           done));
-  Roots.iter
-    (fun o ->
-      advance trace_ref;
-      push o)
-    rt.Rt.roots;
-  while not (Vec.is_empty worklist) do
-    let o = Vec.pop_last worklist in
-    advance (mark_object o);
-    let per_ref = trace_ref_of o in
-    for i = 0 to o.Obj_.nrefs - 1 do
-      advance per_ref;
-      push o.Obj_.refs.(i)
+  (* Depth-first marking from an explicit stack. [live] lists the marked
+     objects in marking order. An [In_h2] target is fenced: its region's
+     live bit is set and the trace stops there. The push code appears
+     twice, for the roots and for the references of a popped object. *)
+  let stack = ref rt.Rt.mark_stack in
+  let sp = ref 0 in
+  let live = ref [||] in
+  let nlive = ref 0 in
+  let live_bytes = ref 0 in
+  let acc = ref (Clock.read clock Clock.Major_gc) in
+  let mark_in_h2 (c : Obj_.t) =
+    match rt.Rt.h2 with
+    | Some h2 -> H2.mark_live_from_h1 h2 c
+    | None ->
+        Rt.invalid_heap_state ~object_id:c.Obj_.id
+          ~phase:"major marking: In_h2 object without an H2 heap"
+  in
+  let roots = Roots.objects rt.Rt.roots in
+  (* Source 0 is the backward-reference targets (already charged),
+     source 1 the roots, each charged one reference trace. *)
+  for src = 0 to 1 do
+    let objs = if src = 0 then backward else roots in
+    let data = Vec.view objs in
+    for i = 0 to Vec.length objs - 1 do
+      if src = 1 then acc := !acc +. trace_ref;
+      let c = data.(i) in
+      match c.Obj_.loc with
+      | Obj_.Eden | Obj_.Survivor | Obj_.Old ->
+          if c.Obj_.mark <> epoch then begin
+            c.Obj_.mark <- epoch;
+            live_bytes := !live_bytes + c.Obj_.size + obj_overhead;
+            if !nlive = Array.length !live then live := grow_objs !live c;
+            !live.(!nlive) <- c;
+            incr nlive;
+            if !sp = Array.length !stack then stack := grow_objs !stack c;
+            !stack.(!sp) <- c;
+            incr sp
+          end
+      | Obj_.In_h2 ->
+          Clock.commit clock Clock.Major_gc !acc;
+          mark_in_h2 c;
+          acc := Clock.read clock Clock.Major_gc
+      | Obj_.Freed -> ()
     done
   done;
-  let live_bytes =
-    Vec.fold_left (fun acc o -> acc + Obj_.total_size o) 0 live
-  in
+  while !sp > 0 do
+    decr sp;
+    let o = !stack.(!sp) in
+    let per_ref =
+      match o.Obj_.loc with
+      | Obj_.Old ->
+          acc := !acc +. mark_old;
+          trace_old
+      | Obj_.Eden | Obj_.Survivor ->
+          acc := !acc +. mark_young;
+          trace_young
+      | Obj_.In_h2 | Obj_.Freed ->
+          Rt.invalid_heap_state ~object_id:o.Obj_.id
+            ~phase:"major marking: a non-H1 object on the marking stack"
+    in
+    let refs = o.Obj_.refs in
+    for i = 0 to o.Obj_.nrefs - 1 do
+      acc := !acc +. per_ref;
+      let c = refs.(i) in
+      match c.Obj_.loc with
+      | Obj_.Eden | Obj_.Survivor | Obj_.Old ->
+          if c.Obj_.mark <> epoch then begin
+            c.Obj_.mark <- epoch;
+            live_bytes := !live_bytes + c.Obj_.size + obj_overhead;
+            if !nlive = Array.length !live then live := grow_objs !live c;
+            !live.(!nlive) <- c;
+            incr nlive;
+            if !sp = Array.length !stack then stack := grow_objs !stack c;
+            !stack.(!sp) <- c;
+            incr sp
+          end
+      | Obj_.In_h2 ->
+          Clock.commit clock Clock.Major_gc !acc;
+          mark_in_h2 c;
+          acc := Clock.read clock Clock.Major_gc
+      | Obj_.Freed -> ()
+    done
+  done;
+  Clock.commit clock Clock.Major_gc !acc;
+  (* Keep the stack for the next collection with every slot on one live
+     object: a stale slot would keep a later-freed object reachable. *)
+  rt.Rt.mark_stack <-
+    (if !nlive = 0 then [||]
+     else begin
+       Array.fill !stack 0 (Array.length !stack) !live.(0);
+       !stack
+     end);
+  let live = !live and nlive = !nlive and live_bytes = !live_bytes in
   (* TeraHeap marking extras: identify labelled roots, compute transitive
      closures, and free dead regions (§4). *)
   (* Move candidates with their policy group keys, as parallel vectors. *)
@@ -576,33 +675,33 @@ let major_gc (rt : Rt.t) =
      longer aborts the run. The remaining candidates stay in H1 — their
      location and mark are untouched, so the normal compaction paths
      below keep them — and, since a tagged root self-cleans only once
-     moved, the whole group is retried at the next major GC. *)
+     moved, the whole group is retried at the next major GC. H2
+     allocation charges the clock, so this loop charges it directly. *)
   let moved = Vec.create () in
   let moved_from = Vec.create () in
   let deferred_objs = Vec.create () in
   let h2_full = ref false in
-  Vec.iteri
-    (fun i (o : Obj_.t) ->
-      match rt.Rt.h2 with
-      | None ->
-          Rt.invalid_heap_state ~object_id:o.Obj_.id
-            ~phase:"precompaction: move candidate without an H2 heap"
-      | Some h2 ->
-          if !h2_full then Vec.push deferred_objs o
-          else begin
-            advance half_mark;
-            let loc = o.Obj_.loc in
-            match
-              H2.alloc h2 ~group:(Vec.get move_groups i) o ~label:o.Obj_.label
-            with
-            | () ->
-                Vec.push moved_from loc;
-                Vec.push moved o
-            | exception H2.Out_of_h2_space ->
-                h2_full := true;
-                Vec.push deferred_objs o
-          end)
-    move_objs;
+  let move_data = Vec.view move_objs and group_data = Vec.view move_groups in
+  for i = 0 to Vec.length move_objs - 1 do
+    let o = move_data.(i) in
+    match rt.Rt.h2 with
+    | None ->
+        Rt.invalid_heap_state ~object_id:o.Obj_.id
+          ~phase:"precompaction: move candidate without an H2 heap"
+    | Some h2 ->
+        if !h2_full then Vec.push deferred_objs o
+        else begin
+          advance half_mark;
+          let loc = o.Obj_.loc in
+          match H2.alloc h2 ~group:group_data.(i) o ~label:o.Obj_.label with
+          | () ->
+              Vec.push moved_from loc;
+              Vec.push moved o
+          | exception H2.Out_of_h2_space ->
+              h2_full := true;
+              Vec.push deferred_objs o
+        end
+  done;
   (match (rt.Rt.h2, !h2_full) with
   | Some h2, true ->
       H2.note_move_degraded h2 ~objects:(Vec.length deferred_objs);
@@ -618,43 +717,63 @@ let major_gc (rt : Rt.t) =
           if not (Hashtbl.mem listed o.Obj_.id) then H2.retag_deferred h2 o)
         deferred_objs
   | (Some _ | None), _ -> ());
+  (* Sliding addresses: live old objects in address order, then the
+     young survivors, which PS full collections tenure into the old gen.
+     Live humongous objects keep pinning their region slack: G1 never
+     moves them. *)
   let new_top = ref 0 in
-  let assign (o : Obj_.t) =
-    advance half_mark;
-    o.Obj_.new_addr <- !new_top;
-    (* Live humongous objects keep pinning their region slack: G1 never
-       moves them. *)
-    new_top := !new_top + Obj_.footprint o
-  in
-  Vec.iter
-    (fun (o : Obj_.t) ->
-      if o.Obj_.mark = epoch && o.Obj_.loc = Obj_.Old then assign o)
-    heap.H1_heap.old_objs;
-  (* PS full collections tenure all young survivors into the old gen. *)
+  let acc = ref (Clock.read clock Clock.Major_gc) in
+  let old_objs = heap.H1_heap.old_objs in
+  let old_data = Vec.view old_objs in
+  for i = 0 to Vec.length old_objs - 1 do
+    let o = old_data.(i) in
+    match o.Obj_.loc with
+    | Obj_.Old when o.Obj_.mark = epoch ->
+        acc := !acc +. half_mark;
+        o.Obj_.new_addr <- !new_top;
+        new_top := !new_top + o.Obj_.size + obj_overhead + o.Obj_.region_slack
+    | Obj_.Old | Obj_.Eden | Obj_.Survivor | Obj_.In_h2 | Obj_.Freed -> ()
+  done;
   let promoted_young = Vec.create () in
-  let collect_young (o : Obj_.t) =
-    if o.Obj_.mark = epoch && Obj_.is_young o then begin
-      assign o;
-      Vec.push promoted_young o
-    end
-  in
-  Vec.iter collect_young heap.H1_heap.eden;
-  Vec.iter collect_young heap.H1_heap.survivor;
+  for space = 0 to 1 do
+    let objs = if space = 0 then heap.H1_heap.eden else heap.H1_heap.survivor in
+    let data = Vec.view objs in
+    for i = 0 to Vec.length objs - 1 do
+      let o = data.(i) in
+      match o.Obj_.loc with
+      | (Obj_.Eden | Obj_.Survivor) when o.Obj_.mark = epoch ->
+          acc := !acc +. half_mark;
+          o.Obj_.new_addr <- !new_top;
+          new_top :=
+            !new_top + o.Obj_.size + obj_overhead + o.Obj_.region_slack;
+          Vec.push promoted_young o
+      | Obj_.Eden | Obj_.Survivor | Obj_.Old | Obj_.In_h2 | Obj_.Freed -> ()
+    done
+  done;
+  Clock.commit clock Clock.Major_gc !acc;
   let precompact_ns, t2 = phase_delta t1 in
   trace_span_end rt ~name:"precompact"
     [ ("dur_ns", Th_trace.Event.Float precompact_ns) ];
   trace_span_begin rt ~name:"adjust";
 
   (* --- Phase 3: pointer adjustment --------------------------------- *)
-  Vec.iter
-    (fun (o : Obj_.t) ->
-      if Obj_.is_in_h1 o then begin
-        let per_ref = trace_ref_of o in
+  (* One reference trace per reference of every live H1 object (moved
+     objects are adjusted below). *)
+  let acc = ref (Clock.read clock Clock.Major_gc) in
+  for i = 0 to nlive - 1 do
+    let o = live.(i) in
+    match o.Obj_.loc with
+    | Obj_.Old ->
         for _ = 1 to o.Obj_.nrefs do
-          advance per_ref
+          acc := !acc +. trace_old
         done
-      end)
-    live;
+    | Obj_.Eden | Obj_.Survivor ->
+        for _ = 1 to o.Obj_.nrefs do
+          acc := !acc +. trace_young
+        done
+    | Obj_.In_h2 | Obj_.Freed -> ()
+  done;
+  Clock.commit clock Clock.Major_gc !acc;
   (match rt.Rt.h2 with
   | None -> ()
   | Some h2 ->
@@ -663,20 +782,21 @@ let major_gc (rt : Rt.t) =
         (float_of_int !backward_refs *. costs.Costs.trace_ref_ns);
       (* For each moved object: record new cross-region references and
          newly-created backward references (§4, pointer adjustment). *)
-      Vec.iter
-        (fun (o : Obj_.t) ->
-          for i = 0 to o.Obj_.nrefs - 1 do
-            let c = o.Obj_.refs.(i) in
-            advance trace_ref;
-            match c.Obj_.loc with
-            | Obj_.In_h2 ->
-                if c.Obj_.h2_region <> o.Obj_.h2_region then
-                  H2.add_dependency h2 ~src_region:o.Obj_.h2_region
-                    ~dst_region:c.Obj_.h2_region
-            | Obj_.Eden | Obj_.Survivor | Obj_.Old -> H2.note_backward_ref h2 o
-            | Obj_.Freed -> ()
-          done)
-        moved);
+      let moved_data = Vec.view moved in
+      for j = 0 to Vec.length moved - 1 do
+        let o = moved_data.(j) in
+        for i = 0 to o.Obj_.nrefs - 1 do
+          let c = o.Obj_.refs.(i) in
+          advance trace_ref;
+          match c.Obj_.loc with
+          | Obj_.In_h2 ->
+              if c.Obj_.h2_region <> o.Obj_.h2_region then
+                H2.add_dependency h2 ~src_region:o.Obj_.h2_region
+                  ~dst_region:c.Obj_.h2_region
+          | Obj_.Eden | Obj_.Survivor | Obj_.Old -> H2.note_backward_ref h2 o
+          | Obj_.Freed -> ()
+        done
+      done);
   let adjust_ns, t3 = phase_delta t2 in
   trace_span_end rt ~name:"adjust"
     [ ("dur_ns", Th_trace.Event.Float adjust_ns) ];
@@ -684,78 +804,93 @@ let major_gc (rt : Rt.t) =
 
   (* --- Phase 4: compaction ------------------------------------------ *)
   (* Account the H1 space vacated by objects that moved to H2. *)
-  Vec.iteri
-    (fun i (o : Obj_.t) ->
-      let bytes = Obj_.total_size o in
-      match Vec.get moved_from i with
-      | Obj_.Eden -> heap.H1_heap.eden_used <- heap.H1_heap.eden_used - bytes
-      | Obj_.Survivor ->
-          heap.H1_heap.survivor_used <- heap.H1_heap.survivor_used - bytes
-      | Obj_.Old -> heap.H1_heap.old_used <- heap.H1_heap.old_used - bytes
-      | Obj_.In_h2 | Obj_.Freed ->
-          Rt.invalid_heap_state ~object_id:o.Obj_.id
-            ~phase:"compaction: moved object recorded with a non-H1 origin")
-    moved;
+  let moved_data = Vec.view moved and from_data = Vec.view moved_from in
+  let bytes_moved = ref 0 in
+  for i = 0 to Vec.length moved - 1 do
+    let o = moved_data.(i) in
+    let bytes = o.Obj_.size + obj_overhead in
+    bytes_moved := !bytes_moved + bytes;
+    match from_data.(i) with
+    | Obj_.Eden -> heap.H1_heap.eden_used <- heap.H1_heap.eden_used - bytes
+    | Obj_.Survivor ->
+        heap.H1_heap.survivor_used <- heap.H1_heap.survivor_used - bytes
+    | Obj_.Old -> heap.H1_heap.old_used <- heap.H1_heap.old_used - bytes
+    | Obj_.In_h2 | Obj_.Freed ->
+        Rt.invalid_heap_state ~object_id:o.Obj_.id
+          ~phase:"compaction: moved object recorded with a non-H1 origin"
+  done;
   (* Slide live old objects and copy young survivors into the old gen.
-     Filtering [old_objs] in place keeps it address-sorted and re-indexes
-     it as it goes. *)
+     [old_objs] is filtered in place, so it stays address-sorted, and
+     the object-start index is rebuilt from the kept objects in order.
+     A copy charge is [major_charge] of the copied bytes' cost, written
+     out with the same operations in the same order. G1 never evacuates
+     humongous objects, and its mixed collections copy only a subset of
+     regions ([g1_copy_factor]). *)
+  let copy_byte_ns = costs.Costs.copy_byte_ns in
   let copy_factor = g1_copy_factor rt in
-  H1_heap.filter_old heap (fun (o : Obj_.t) ->
-      if o.Obj_.mark = epoch && o.Obj_.loc = Obj_.Old then begin
-        if not (g1_skip_copy rt o) then
-          charge_major rt
-            (float_of_int (Obj_.total_size o)
-            *. costs.Costs.copy_byte_ns
-            *. rt.Rt.profile.Cost_profile.old_mult
-            *. copy_factor);
-        o.Obj_.addr <- o.Obj_.new_addr;
-        true
-      end
-      else begin
-        if o.Obj_.loc = Obj_.Old then begin
-          note_death rt o;
-          H1_heap.free_object heap o
+  let g1 = match rt.Rt.collector with Rt.G1 -> true | Rt.Ps | Rt.Ps_jdk11 -> false in
+  let humongous_bytes = rt.Rt.g1_region_size / 2 in
+  let threads = Rt.major_threads rt in
+  let par_divisor = float_of_int threads *. 0.85 in
+  let cards = heap.H1_heap.cards in
+  Card_table.reset_index cards;
+  let acc = ref (Clock.read clock Clock.Major_gc) in
+  let old_data = Vec.view old_objs in
+  let kept = ref 0 in
+  for i = 0 to Vec.length old_objs - 1 do
+    let o = old_data.(i) in
+    match o.Obj_.loc with
+    | Obj_.Old when o.Obj_.mark = epoch ->
+        let bytes = o.Obj_.size + obj_overhead in
+        if not (g1 && o.Obj_.kind = Obj_.Array_data && bytes > humongous_bytes)
+        then begin
+          let ns =
+            float_of_int bytes *. copy_byte_ns *. old_mult *. copy_factor
+          in
+          let ns = if g1 then ns *. 0.5 else ns in
+          let ns = if threads <= 1 then ns else ns /. par_divisor in
+          if ns < 0.0 then invalid_arg "Clock.advance: negative charge";
+          acc := !acc +. ns
         end;
-        false
-      end);
-  let tenure (o : Obj_.t) =
-    let bytes = Obj_.total_size o in
-    charge_major rt
-      (float_of_int bytes *. costs.Costs.copy_byte_ns
-      *. rt.Rt.profile.Cost_profile.young_mult);
+        o.Obj_.addr <- o.Obj_.new_addr;
+        Card_table.note_object_start cards ~addr:o.Obj_.addr;
+        if !kept <> i then Vec.set old_objs !kept o;
+        incr kept
+    | Obj_.Old ->
+        Clock.commit clock Clock.Major_gc !acc;
+        note_death rt o;
+        H1_heap.free_object heap o;
+        acc := Clock.read clock Clock.Major_gc
+    | Obj_.Eden | Obj_.Survivor | Obj_.In_h2 | Obj_.Freed -> ()
+  done;
+  Vec.truncate old_objs !kept;
+  (* Tenure the young survivors at their precompaction addresses. *)
+  let young_data = Vec.view promoted_young in
+  for i = 0 to Vec.length promoted_young - 1 do
+    let o = young_data.(i) in
+    let ns = float_of_int (o.Obj_.size + obj_overhead) *. copy_byte_ns *. young_mult in
+    let ns = if g1 then ns *. 0.5 else ns in
+    let ns = if threads <= 1 then ns else ns /. par_divisor in
+    if ns < 0.0 then invalid_arg "Clock.advance: negative charge";
+    acc := !acc +. ns;
     H1_heap.promote heap o ~addr:o.Obj_.new_addr;
     o.Obj_.age <- heap.H1_heap.tenure_threshold
-  in
-  Vec.iter tenure promoted_young;
+  done;
+  Clock.commit clock Clock.Major_gc !acc;
   (* Sweep the young spaces, dead-on-arrival allocations included. *)
-  Vec.iter
-    (fun (o : Obj_.t) ->
-      if o.Obj_.loc = Obj_.Eden then begin
-        note_death rt o;
-        H1_heap.free_object heap o
-      end)
-    heap.H1_heap.eden;
-  Vec.clear heap.H1_heap.eden;
+  sweep_young rt heap.H1_heap.eden Obj_.Eden;
   H1_heap.free_dead_young heap;
-  Vec.iter
-    (fun (o : Obj_.t) ->
-      if o.Obj_.loc = Obj_.Survivor then begin
-        note_death rt o;
-        H1_heap.free_object heap o
-      end)
-    heap.H1_heap.survivor;
-  Vec.clear heap.H1_heap.survivor;
+  sweep_young rt heap.H1_heap.survivor Obj_.Survivor;
   heap.H1_heap.old_top <- !new_top;
   heap.H1_heap.old_used <- !new_top;
+  let bytes_moved = !bytes_moved in
   (* Write the moved objects out to H2 in promotion-buffer batches. *)
-  let bytes_moved =
-    Vec.fold_left (fun acc o -> acc + Obj_.total_size o) 0 moved
-  in
   (match rt.Rt.h2 with
   | None -> ()
   | Some h2 ->
       H2.flush_promotion_buffers h2;
-      H2.recompute_card_states h2 ~major:true);
+      H2.recompute_card_states h2 ~major:true;
+      H2.prune_tagged h2);
   (* The full collection leaves no old-to-young references. *)
   Card_table.clear_all heap.H1_heap.cards;
   (* Release the dead objects still referenced by the space vectors'

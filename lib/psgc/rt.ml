@@ -71,6 +71,8 @@ type t = {
      validity guards and the pressure budget, so a policy can only
      choose among safe moves, never invent unsafe ones. *)
   mutable policy : Th_policy.Policy.t;
+  (* The major GC's marking stack, sized on first use (see rt.mli). *)
+  mutable mark_stack : Obj_.t array;
 }
 
 let create ?(collector = Ps) ?(profile = Cost_profile.dram)
@@ -98,6 +100,7 @@ let create ?(collector = Ps) ?(profile = Cost_profile.dram)
     safepoint_hook = None;
     h2_move_gate = None;
     policy;
+    mark_stack = [||];
   }
 
 let h2_moves_allowed t =

@@ -70,6 +70,13 @@ type t = {
           group into H2 regions; defaults to
           {!Th_policy.Policy.threshold}, the paper's behavior. The
           collector keeps the validity guards and the pressure budget. *)
+  mutable mark_stack : Th_objmodel.Heap_object.t array;
+      (** the major GC's marking stack: empty until the first marking
+          pushes an object, then 1024 slots, doubled whenever full. Between
+          collections every slot holds one object that was live when the
+          last marking ended, so the stack keeps no freed object
+          reachable. Replacing it with a shorter array (a test forcing
+          the growth path) changes no simulated number. *)
 }
 
 val create :

@@ -37,6 +37,23 @@ let advance t cat ns =
   | Minor_gc -> a.minor <- a.minor +. ns
   | Major_gc -> a.major <- a.major +. ns
 
+let read t cat =
+  let a = t.acc in
+  match cat with
+  | Other -> a.other
+  | Serde_io -> a.serde_io
+  | Minor_gc -> a.minor
+  | Major_gc -> a.major
+
+let commit t cat v =
+  if v < read t cat then invalid_arg "Clock.commit: time would go down";
+  let a = t.acc in
+  match cat with
+  | Other -> a.other <- v
+  | Serde_io -> a.serde_io <- v
+  | Minor_gc -> a.minor <- v
+  | Major_gc -> a.major <- v
+
 let now_ns t =
   let a = t.acc in
   a.other +. a.serde_io +. a.minor +. a.major

@@ -27,6 +27,19 @@ val advance : t -> category -> float -> unit
 (** [advance t cat ns] adds [ns] simulated nanoseconds to [cat].
     Negative charges are rejected with [Invalid_argument]. *)
 
+val read : t -> category -> float
+(** [read t cat] is the time charged to [cat] so far. With {!commit} it
+    lets a hot loop keep one category's charges in a local float: read
+    once, add each charge locally, commit before anything that could read
+    or charge the clock (a call out, a trace emission, the loop's end),
+    and read again after it. The same additions in the same order give
+    bit-identical time to one {!advance} per charge. *)
+
+val commit : t -> category -> float -> unit
+(** [commit t cat v] sets the time charged to [cat] to [v]. Raises
+    [Invalid_argument] if [v] is below {!read}[ t cat]: a local
+    accumulator of non-negative charges only grows. *)
+
 val now_ns : t -> float
 (** Total simulated time elapsed so far. *)
 

@@ -77,8 +77,18 @@ let filter_in_place p v =
   done;
   v.len <- !kept
 
-let shrink_to_fit v =
-  if Array.length v.data > v.len then v.data <- Array.sub v.data 0 v.len
+let view v = v.data
+
+let truncate v n =
+  if n < 0 || n > v.len then invalid_arg "Vec.truncate";
+  v.len <- n
+
+let release_slack v =
+  if v.len = 0 then v.data <- [||]
+  else begin
+    let cap = Array.length v.data in
+    if cap > v.len then Array.fill v.data v.len (cap - v.len) v.data.(v.len - 1)
+  end
 
 let to_list v =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (v.data.(i) :: acc) in

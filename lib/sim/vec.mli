@@ -47,11 +47,26 @@ val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** [filter_in_place p v] keeps only the elements satisfying [p],
     preserving order. *)
 
-val shrink_to_fit : 'a t -> unit
-(** [shrink_to_fit v] reallocates the backing array to exactly [length v]
-    elements. [clear] and [filter_in_place] keep the old storage, so the
-    slack still references dropped elements and keeps them reachable;
-    call this after bulk removals (e.g. a GC sweep) to release them. *)
+val view : 'a t -> 'a array
+(** [view v] is the backing array itself, for index loops that must not
+    pay a call per element: positions [0, length v) are the vector's
+    elements and the rest is slack. Reads are unchecked against
+    [length]. The view is valid only until the next [push], which may
+    replace the backing array; [set], [truncate] and [clear] keep it. *)
+
+val truncate : 'a t -> int -> unit
+(** [truncate v n] drops every element from index [n] on, keeping the
+    backing storage. Raises [Invalid_argument] unless
+    [0 <= n <= length v]. *)
+
+val release_slack : 'a t -> unit
+(** [release_slack v] makes the backing array's slack reference only
+    elements still in the vector: it overwrites every slot past
+    [length v] with the last element, or releases the storage when [v]
+    is empty. [clear], [truncate] and [filter_in_place] keep the old
+    storage, whose slack still references the dropped elements and keeps
+    them reachable; call this after bulk removals (e.g. a GC sweep). It
+    allocates nothing. *)
 
 val to_list : 'a t -> 'a list
 

@@ -449,20 +449,45 @@ let prop_old_gen_sorted_at_safepoints =
       !sorted && !safepoints >= 2)
 
 (* Invariant 10: after a major GC the space vectors hold no [Freed]
-   entries and their backing arrays carry no slack referencing them. *)
+   entries and their backing arrays carry no slack referencing them.
+   Reading [0, length) cannot see the slack, so the freed objects are
+   held weakly and must all be collected by the host GC while the
+   runtime itself stays alive. *)
+let run_and_weaken_freed program =
+  let rt, table, _ = execute program in
+  Runtime.major_gc rt;
+  let freed =
+    Vec.fold_left
+      (fun acc (o : Obj_.t) -> if Obj_.is_freed o then o :: acc else acc)
+      [] table
+  in
+  let weak = Weak.create (List.length freed) in
+  List.iteri (fun i o -> Weak.set weak i (Some o)) freed;
+  (rt, weak)
+[@@inline never]
+
 let prop_no_freed_after_major =
   QCheck.Test.make ~name:"major GC compacts Freed entries out of the vectors"
     ~count:120 arbitrary_program
     (fun program ->
-      let rt, _, _ = execute program in
-      Runtime.major_gc rt;
+      let rt, weak = run_and_weaken_freed program in
+      Gc.full_major ();
       let heap = Runtime.heap rt in
       let no_freed v =
         Vec.fold_left (fun ok (o : Obj_.t) -> ok && not (Obj_.is_freed o)) true v
       in
-      no_freed heap.H1_heap.old_objs
-      && no_freed heap.H1_heap.eden
-      && no_freed heap.H1_heap.survivor)
+      let collected = ref true in
+      for i = 0 to Weak.length weak - 1 do
+        if Weak.check weak i then collected := false
+      done;
+      let ok =
+        no_freed heap.H1_heap.old_objs
+        && no_freed heap.H1_heap.eden
+        && no_freed heap.H1_heap.survivor
+        && !collected
+      in
+      ignore (Sys.opaque_identity rt);
+      ok)
 
 let props =
   [
@@ -483,4 +508,81 @@ let props =
     prop_freed_regions_unreachable;
   ]
 
-let suite = List.map QCheck_alcotest.to_alcotest props
+(* The marking stack's growth path, which the programs above (at most
+   120 operations) never reach: a fan-out of 12k objects, each with a
+   child, pushes far past
+   the stack's 1024 initial slots. Exactly the reachable set survives,
+   and the simulated time equals that of a run whose stack starts at one
+   slot and doubles fourteen times. *)
+let mark_stack_run ?initial_slots () =
+  let clock = Clock.create () in
+  let heap = H1_heap.create ~heap_bytes:(Size.mib 16) () in
+  let rt = Runtime.create ~clock ~costs:Costs.default ~heap () in
+  Option.iter
+    (fun n ->
+      rt.Th_psgc.Rt.mark_stack <- Array.make n (Obj_.create ~id:(-1) ~size:0 ()))
+    initial_slots;
+  let all = Vec.create () in
+  let alloc () =
+    let o = Runtime.alloc rt ~size:32 () in
+    Vec.push all o;
+    o
+  in
+  let hub = alloc () in
+  Runtime.add_root rt hub;
+  for _ = 1 to 12_000 do
+    (* Each member has a child, so a lost stack entry loses a live one. *)
+    let member = alloc () in
+    Runtime.write_ref rt hub member;
+    Runtime.write_ref rt member (alloc ())
+  done;
+  let head = alloc () in
+  Runtime.add_root rt head;
+  let tail = ref head in
+  for _ = 1 to 5_000 do
+    let next = alloc () in
+    Runtime.write_ref rt !tail next;
+    tail := next
+  done;
+  (* Garbage: a dead fan-out whose members also reference live objects. *)
+  let dead = alloc () in
+  for i = 1 to 3_000 do
+    let d = alloc () in
+    Runtime.write_ref rt dead d;
+    Runtime.write_ref rt d (Vec.get all i)
+  done;
+  Runtime.major_gc rt;
+  let reachable = Obj_.reachable ~roots:(roots_of rt) ~fence_h2:false in
+  let exact =
+    Vec.fold_left
+      (fun ok (o : Obj_.t) ->
+        ok && Hashtbl.mem reachable o.Obj_.id = not (Obj_.is_freed o))
+      true all
+  in
+  (* A second collection starts from the grown, refilled stack. *)
+  Runtime.major_gc rt;
+  let b = Clock.breakdown clock in
+  ( exact,
+    Printf.sprintf "%h %h %h %h" b.Clock.other_ns b.Clock.serde_io_ns
+      b.Clock.minor_gc_ns b.Clock.major_gc_ns,
+    Array.length rt.Th_psgc.Rt.mark_stack )
+
+let test_mark_stack_growth () =
+  let exact, clock, slots = mark_stack_run () in
+  let exact_small, clock_small, slots_small =
+    mark_stack_run ~initial_slots:1 ()
+  in
+  Alcotest.(check bool) "exactly the reachable set survives" true exact;
+  Alcotest.(check bool) "same, from a one-slot stack" true exact_small;
+  Alcotest.(check bool) "the stack grew past 12k slots" true (slots >= 12_000);
+  Alcotest.(check bool)
+    "the one-slot stack grew too" true (slots_small >= 12_000);
+  Alcotest.(check string) "clock independent of the stack's growth" clock
+    clock_small
+
+let suite =
+  List.map QCheck_alcotest.to_alcotest props
+  @ [
+      Alcotest.test_case "major GC marking stack grows past its first slots"
+        `Quick test_mark_stack_growth;
+    ]

@@ -14,6 +14,7 @@ let () =
       ("serde", Test_serde.suite);
       ("runtime", Test_runtime.suite);
       ("gc-properties", Test_gc_props.suite);
+      ("gc-golden", Test_gc_golden.suite);
       ("policy", Test_policy.suite);
       ("verify", Test_verify.suite);
       ("exec", Test_exec.suite);
