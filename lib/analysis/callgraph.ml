@@ -44,10 +44,6 @@ type global = { site : Location.t; blessed : bool }
 type t = {
   globals : (key, global) Hashtbl.t;
   defs : (key, expression) Hashtbl.t;
-  (* binding attributes per def, so downstream passes (the raises
-     analysis) can read [@th.raises]/[@th.allow] declarations without
-     re-walking every structure *)
-  def_attrs : (key, attributes) Hashtbl.t;
   (* module name -> libraries defining a module of that name *)
   mod_libs : (string, SS.t) Hashtbl.t;
   (* wrapper module name (Th_metrics) -> library tag (th_metrics) *)
@@ -200,7 +196,6 @@ let build (sources : Source.t list) =
     {
       globals = Hashtbl.create 64;
       defs = Hashtbl.create 256;
-      def_attrs = Hashtbl.create 256;
       mod_libs = Hashtbl.create 64;
       wrappers = Hashtbl.create 16;
       mutable_fields = Hashtbl.create 32;
@@ -266,10 +261,7 @@ let build (sources : Source.t list) =
                       (Syntax.attr_allows vb.pvb_attributes)
                   in
                   Hashtbl.replace t.globals key { site = vb.pvb_loc; blessed }
-                else begin
-                  Hashtbl.replace t.defs key vb.pvb_expr;
-                  Hashtbl.replace t.def_attrs key vb.pvb_attributes
-                end
+                else Hashtbl.replace t.defs key vb.pvb_expr
             | _ -> ()
           in
           let rec walk ~prefix items =
@@ -348,17 +340,6 @@ let global_site t key =
       Printf.sprintf "%s:%d" g.site.loc_start.pos_fname
         g.site.loc_start.pos_lnum
   | None -> "?"
-
-let fold_defs t ~init ~f =
-  let keys =
-    (* th-lint: allow hashtbl-order — collected then sorted by
-       compare_key before the fold, so iteration order is canonical. *)
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.defs []
-    |> List.sort compare_key
-  in
-  List.fold_left
-    (fun acc k -> f acc k (Hashtbl.find t.defs k) (Hashtbl.find t.def_attrs k))
-    init keys
 
 let def_effects t key =
   match List.find_opt (fun (k, _) -> compare_key k key = 0) t.effects with

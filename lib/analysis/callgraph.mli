@@ -36,14 +36,6 @@ val global_site : t -> key -> string
 val def_effects : t -> key -> key list
 (** Mutable globals transitively reachable from a definition. *)
 
-val fold_defs :
-  t ->
-  init:'a ->
-  f:('a -> key -> Parsetree.expression -> Parsetree.attributes -> 'a) ->
-  'a
-(** Fold over every definition in canonical ({!compare_key}) order —
-    the deterministic iteration the raises fixpoint relies on. *)
-
 val is_mutable_init :
   t -> lib:string -> modname:string -> Parsetree.expression -> bool
 (** Does the expression allocate mutable state ([ref], [Hashtbl.create],

@@ -138,8 +138,6 @@ let emit ?(blessed = false) ctx ~(loc : Location.t) ~rule message =
     else ctx.findings <- f :: ctx.findings
   end
 
-let emit_raw ctx { Finding.loc; rule; message } = emit ctx ~loc ~rule message
-
 (* ------------------------------------------------------------------ *)
 (* Rule: identifier vocabularies                                       *)
 
@@ -184,9 +182,6 @@ let check_ident ctx lid (loc : Location.t) =
       emit ctx ~loc ~rule:"poly-compare"
         "polymorphic Hashtbl.hash walks the runtime representation; hash a \
          canonical key instead"
-  | Some ("Obj", "magic") ->
-      emit ctx ~loc ~rule:"obj-magic"
-        "Obj.magic defeats the type system; fix the types instead"
   | Some ("Domain", "self") ->
       emit ctx ~loc ~rule:"ambient-entropy"
         "Domain.self is an allocation-order-dependent token; key per-domain \
@@ -374,13 +369,6 @@ let run_structure ctx str =
         match Syntax.worker_sink fn with
         | Some callee -> check_pmap_site ctx callee args
         | None -> ())
-    | Pexp_assert
-        { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
-      ->
-        emit ctx ~loc:e.pexp_loc ~rule:"assert-false"
-          "bare `assert false`; raise a contextful exception \
-           (invalid_arg, Rt.Invalid_heap_state, failwith with the \
-           unexpected value)"
     | Pexp_function cases | Pexp_match (_, cases) -> check_catch_all ctx cases
     | _ -> ()
   in
@@ -396,7 +384,6 @@ let analyze ?rules sources =
     || match rules with None -> true | Some l -> List.mem r l
   in
   let db = Callgraph.build sources in
-  let rdb = Raises.build db sources in
   let findings = ref [] and waived = ref [] in
   List.iter
     (fun (s : Source.t) ->
@@ -436,10 +423,6 @@ let analyze ?rules sources =
             }
           in
           run_structure ctx str;
-          (* The raises pass (summaries computed project-wide up
-             front) reports raw findings; the same emit applies every
-             waiver to them. *)
-          List.iter (emit_raw ctx) (Raises.check_file rdb s);
           findings := ctx.findings @ !findings;
           waived := ctx.waived @ !waived)
     sources;

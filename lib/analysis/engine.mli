@@ -1,7 +1,7 @@
 (** The rule engine: one pass of syntactic rules per file, a
     cross-library effect analysis (mutable globals and escaping
-    captures at domain-crossing sinks), the raises pass — and the one
-    place where waivers are applied.
+    captures at domain-crossing sinks) — and the one place where
+    waivers are applied.
 
     The escape-capture rule has a dedicated bless token: [@th.allow
     "domain_shared <justification>"] diverts the finding to [waived].
@@ -18,8 +18,7 @@
       site).
 
     Each file's waivers are collected once as source spans; a finding
-    is waived when its position lies inside a span naming its rule,
-    whichever pass reported it.
+    is waived when its position lies inside a span naming its rule.
 
     A waived finding is still produced — it lands in [waived] instead of
     [findings] — so reports can show what was suppressed and tests can

@@ -1,5 +1,3 @@
-type raw = { loc : Location.t; rule : string; message : string }
-
 type severity = Error | Warning
 
 type t = {

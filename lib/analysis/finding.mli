@@ -5,10 +5,6 @@
     they carry everything needed to locate, explain and gate on a rule
     violation without re-reading the source. *)
 
-type raw = { loc : Location.t; rule : string; message : string }
-(** A finding as a pass reports it: where, which rule, what. {!Engine}
-    assigns the severity and decides whether a waiver covers [loc]. *)
-
 type severity = Error | Warning
 
 type t = {

@@ -1,7 +1,6 @@
 type family =
   | Determinism
   | Domain_safety
-  | Exception_flow
   | Hygiene
 
 type t = {
@@ -15,7 +14,6 @@ type t = {
 let family_to_string = function
   | Determinism -> "determinism"
   | Domain_safety -> "domain-safety"
-  | Exception_flow -> "exception-flow"
   | Hygiene -> "invariant-hygiene"
 
 (* [Syntax.worker_sinks] as an indented, wrapped block for the explain
@@ -151,73 +149,6 @@ let all =
          a blessed finding is diverted to the waived list, never dropped.";
     };
     {
-      name = "fault-barrier";
-      family = Exception_flow;
-      severity = Finding.Error;
-      synopsis =
-        "a fault exception escapes a definition that neither handles nor \
-         declares it";
-      explain =
-        "The TeraHeap contract assumes device and H2 faults surface at the \n\
-         barriers built to absorb them: Io_retry episodes retry and \n\
-         degrade Io_error, ps_gc's move passes defer objects when H2.alloc \n\
-         raises Out_of_h2_space. The raises analysis infers, per \n\
-         definition and to fixpoint over the cross-library call graph, \n\
-         which typed exception constructors can escape; this rule fires \n\
-         when a fault exception leaks from a definition with no handler \n\
-         and no [@@th.raises \"Exn\"] declaration — the silent conversion \n\
-         of a Degraded outcome into a crash. Out_of_memory and \n\
-         Invalid_heap_state are exempt (the scheduler's documented \n\
-         ambient pair, audited at cell boundaries instead), and \n\
-         Out_of_h2_space may never escape a Ps_gc definition, declared or \n\
-         not. Fix by handling the exception where the fallback lives, or \n\
-         declare the contract with [@@th.raises \"Exn ...\"] so every \n\
-         caller inherits the obligation; inference never widens a \n\
-         declared summary.";
-    };
-    {
-      name = "cell-boundary";
-      family = Exception_flow;
-      severity = Finding.Error;
-      synopsis =
-        "a thunk handed to a worker-domain sink can leak beyond \
-         Out_of_memory/Invalid_heap_state";
-      explain =
-        "The domain scheduler captures a cell's exception, drains \n\
-         the batch, and re-raises the first failure on the submitting \n\
-         domain — a protocol documented for Out_of_memory and \n\
-         Invalid_heap_state only. Any other exception crossing the cell \n\
-         boundary (an Io_error that skipped its retry episode, a \n\
-         Not_serializable from a fallback path) aborts the whole batch \n\
-         and loses the per-cell outcome the benchmarks record. The rule \n\
-         evaluates the raises summary of every closure handed to one of \n\
-         these worker-domain sinks:\n\n"
-        ^ worker_sinks_block
-        ^ "\n\n\
-         It flags each constructor outside the allowed pair. Handle the \n\
-         exception inside the cell and fold it into the result value \n\
-         (Run_result's Degraded/Failed outcomes exist for this).";
-    };
-    {
-      name = "pure-render";
-      family = Exception_flow;
-      severity = Finding.Error;
-      synopsis = "a Plan render function can raise or touch mutable globals";
-      explain =
-        "Plan.seal ~render registers the serial epilogue that formats a \n\
-         section's results after its cells complete; the batching \n\
-         refactor's byte-identical-output guarantee rests on renders \n\
-         being pure functions of the futures they read. A render that \n\
-         raises tears down the bench loop mid-report, and one that \n\
-         mutates a global couples sections whose execution order is a \n\
-         scheduling accident. The rule evaluates the render's raises \n\
-         summary (every constructor is a finding — failures belong in \n\
-         cell results, resolved before rendering) and walks its \n\
-         reachable definitions for mutable top-level state, flagging \n\
-         any it finds. Accumulate on the serial path after the batch \n\
-         returns, then render the accumulated values.";
-    };
-    {
       name = "catch-all-match";
       family = Hygiene;
       severity = Finding.Error;
@@ -231,28 +162,6 @@ let all =
          Replace `_` with the explicit constructors it stands for; adding \n\
          a constructor then breaks every consumer at compile time, which \n\
          is the point.";
-    };
-    {
-      name = "obj-magic";
-      family = Hygiene;
-      severity = Finding.Error;
-      synopsis = "Obj.magic defeats the type system";
-      explain =
-        "Obj.magic turns a type error into memory corruption the \n\
-         Th_verify sanitizer can only catch at runtime, if a seed happens \n\
-         to trigger it. There is no legitimate use in this codebase.";
-    };
-    {
-      name = "assert-false";
-      family = Hygiene;
-      severity = Finding.Error;
-      synopsis = "bare `assert false` carries no diagnostic context";
-      explain =
-        "A bare `assert false` reports only a file and line when the \n\
-         impossible happens — in a seeded simulator the seed, heap phase \n\
-         and offending value are all available and all lost. Raise a \n\
-         contextful exception instead (Rt.Invalid_heap_state, invalid_arg \n\
-         with the unexpected shape, failwith with the seed).";
     };
   ]
 

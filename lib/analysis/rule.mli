@@ -9,7 +9,6 @@
 type family =
   | Determinism
   | Domain_safety
-  | Exception_flow
   | Hygiene
 
 type t = {

@@ -79,47 +79,6 @@ let cases =
         \  List.map (fun x -> Th_exec.Cell.make (fun () -> Atomic.incr hits; x)) xs\n";
     };
     {
-      rule = "fault-barrier";
-      positive =
-        "exception Io_error of string\n\n\
-         let fetch () = raise (Io_error \"disk\")\n";
-      negative =
-        "exception Io_error of string\n\n\
-         let fetch () = raise (Io_error \"disk\") [@@th.raises \"Io_error\"]\n\n\
-         let total () = try fetch () with Io_error _ -> ()\n";
-    };
-    {
-      rule = "cell-boundary";
-      positive =
-        "exception Io_error of string\n\n\
-         let risky () = raise (Io_error \"disk\") [@@th.raises \"Io_error\"]\n\n\
-         let cells xs = List.map (fun x -> Th_exec.Cell.make (fun () -> risky (); x)) xs\n";
-      negative =
-        "exception Io_error of string\n\n\
-         let risky () = raise (Io_error \"disk\") [@@th.raises \"Io_error\"]\n\n\
-         let cells xs =\n\
-        \  List.map\n\
-        \    (fun x ->\n\
-        \      Th_exec.Cell.make (fun () ->\n\
-        \          (try risky () with Io_error _ -> ());\n\
-        \          x))\n\
-        \    xs\n";
-    };
-    {
-      rule = "pure-render";
-      positive =
-        "exception Bad of string\n\n\
-         let plan p =\n\
-        \  Th_exec.Plan.seal p ~render:(fun v ->\n\
-        \      if v < 0 then raise (Bad \"negative\") else string_of_int v)\n";
-      negative =
-        "let plan p =\n\
-        \  Th_exec.Plan.seal p ~render:(fun v ->\n\
-        \      let b = Buffer.create 16 in\n\
-        \      Buffer.add_string b (string_of_int v);\n\
-        \      Buffer.contents b)\n";
-    };
-    {
       rule = "catch-all-match";
       positive =
         "type state = Clean | Dirty | Young_gen | Old_gen\n\n\
@@ -129,21 +88,6 @@ let cases =
          let scan s =\n\
         \  match s with Clean -> 0 | Dirty -> 1 | Young_gen -> 2 | Old_gen -> 3\n\n\
          let unrelated x = match x with None -> 0 | _ -> 1\n";
-    };
-    {
-      rule = "obj-magic";
-      positive = "let coerce x = Obj.magic x\n";
-      negative =
-        "(* Obj.magic is discussed in prose only. *)\n\
-         let magic = \"Obj.magic\"\n\
-         let id x = x\n";
-    };
-    {
-      rule = "assert-false";
-      positive = "let impossible () = assert false\n";
-      negative =
-        "let check n = assert (n >= 0)\n\
-         let prose = \"assert false inside a string\"\n";
     };
   ]
 

@@ -1,7 +1,6 @@
 (* Shared AST helpers for the analysis passes: longident flattening,
    waiver-attribute parsing, pattern utilities, and the one scope-aware
-   walk. Every pass (Engine, Raises, Callgraph) speaks this
-   dialect. *)
+   walk. Every pass (Engine, Callgraph) speaks this dialect. *)
 
 open Parsetree
 module SS = Set.Make (String)
@@ -88,36 +87,6 @@ let attr_allows (attrs : attributes) =
         | None -> []
       else [])
     attrs
-
-(* [@th.raises "Exn ..."] — the declared exception contract of a
-   definition: the typed exception constructors (unqualified names)
-   the definition is allowed to let escape. A token may carry a guard
-   argument, ["Io_error(checked)"]: the exception only escapes
-   applications that pass the labelled argument [~checked] with
-   something other than a literal [false] — the conditional-contract
-   idiom of the checked-I/O device API. [Some []] — written as
-   [[@@th.raises ""]] or [[@@th.raises "none"]] — declares that
-   nothing escapes. [None] means the binding carries no declaration
-   and the inferred summary stands. *)
-let attr_raises (attrs : attributes) =
-  let parse_token w =
-    match String.index_opt w '(' with
-    | Some i when String.length w > i + 1 && w.[String.length w - 1] = ')' ->
-        let ctor = String.sub w 0 i in
-        let guard = String.sub w (i + 1) (String.length w - i - 2) in
-        if ctor = "" || guard = "" then None else Some (ctor, Some guard)
-    | _ -> if String.equal w "none" then None else Some (w, None)
-  in
-  List.fold_left
-    (fun acc a ->
-      if String.equal a.attr_name.txt "th.raises" then
-        match string_payload a.attr_payload with
-        | Some s ->
-            let ctors = List.filter_map parse_token (split_words s) in
-            Some (Option.value ~default:[] acc @ ctors)
-        | None -> acc
-      else acc)
-    None attrs
 
 let rec pat_vars p =
   match p.ppat_desc with

@@ -1,8 +1,8 @@
 (** Shared AST helpers for the analysis passes.
 
     Everything here is purely syntactic: longident flattening, waiver
-    attribute parsing ([[@th.allow "..."]], [[@@th.raises "..."]]),
-    pattern variable/constructor collection, and the one scope-aware
+    attribute parsing ([[@th.allow "..."]]), pattern
+    variable/constructor collection, and the one scope-aware
     walk with its binding table. *)
 
 module SS : Set.S with type elt = string
@@ -17,20 +17,13 @@ val last2 : string list -> (string * string) option
 val worker_sinks : (string * string) list
 (** The callees whose closure arguments run on a worker domain, as
     {!last2} pairs. The domain-safety rules ([pmap-mutable-global],
-    [escape-capture]), the [cell-boundary] rule and the raises
-    inference all read this one table, and the rules' [--explain]
-    texts print it. *)
+    [escape-capture]) read this one table, and their [--explain] texts
+    print it. *)
 
 val worker_sink : Parsetree.expression -> string option
 (** [Some path], the callee as written with its full module path,
     when the expression is an identifier whose {!last2} is in
     {!worker_sinks}. *)
-
-val split_words : string -> string list
-(** Split on spaces, tabs, newlines and commas, dropping empties. *)
-
-val string_payload : Parsetree.payload -> string option
-(** The string constant of a [PStr] payload, if that is its shape. *)
 
 val escape_bless_token : string
 (** ["domain_shared"] — the waiver token that blesses an
@@ -41,15 +34,6 @@ val attr_allows : Parsetree.attributes -> string list
 (** Rule names (and bless tokens) allowed by [[@th.allow "..."]]
     attributes. A bare ["domain_shared"] payload with no justification
     words yields nothing. *)
-
-val attr_raises :
-  Parsetree.attributes -> (string * string option) list option
-(** Exception constructors declared by [[@th.raises "Exn ..."]]
-    attributes, each with its optional guard argument —
-    ["Io_error(checked)"] parses to [("Io_error", Some "checked")]
-    and only escapes applications passing [~checked] as other than a
-    literal [false]. [Some []] (payload [""] or ["none"]) declares
-    that nothing escapes; [None] means no declaration at all. *)
 
 val pat_vars : Parsetree.pattern -> string list
 

@@ -366,7 +366,6 @@ let open_region t ~label ~key =
   h2_instant t ~name:"region_open"
     [ ("region", Th_trace.Event.Int idx); ("label", Th_trace.Event.Int label) ];
   r
-[@@th.raises "Out_of_h2_space"]
 
 let alloc t ?group o ~label =
   (* The placement group keys the allocator bucket (and the region's
@@ -403,7 +402,6 @@ let alloc t ?group o ~label =
   (* Fill the promotion buffer; the compaction phase drains buffers in
      device-friendly batches via {!flush_promotion_buffers}. *)
   r.buffer_fill <- r.buffer_fill + bytes
-[@@th.raises "Out_of_h2_space"]
 
 let flush_promotion_buffers t =
   for i = 0 to t.next_fresh - 1 do

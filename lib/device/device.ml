@@ -178,7 +178,6 @@ let perform t ~cat ~checked ~op ~cost_ns =
           Fault.note_penalty f t.retry.Io_retry.timeout_ns
       end
   | Some _ | None -> Th_sim.Clock.advance t.clock cat cost_ns
-[@@th.raises "Io_error(checked)"]
 
 (* One complete event per operation, spanning queueing, fault penalties
    and retries. [bytes] is the exact amount charged to the traffic
@@ -206,7 +205,6 @@ let read ?(checked = false) t ~cat ~random bytes =
         perform t ~cat ~checked ~op:`Read
           ~cost_ns:(read_cost_ns t ~random bytes))
   end
-[@@th.raises "Io_error(checked)"]
 
 let read_continuation ?(overlap = 1.0) ?(checked = false) t ~cat bytes =
   if bytes > 0 then begin
@@ -216,7 +214,6 @@ let read_continuation ?(overlap = 1.0) ?(checked = false) t ~cat bytes =
         perform t ~cat ~checked ~op:`Read
           ~cost_ns:(overlap *. transfer_ns bytes t.params.read_bw_gbps))
   end
-[@@th.raises "Io_error(checked)"]
 
 let write ?(checked = false) t ~cat ~random bytes =
   if bytes > 0 then begin
@@ -227,7 +224,6 @@ let write ?(checked = false) t ~cat ~random bytes =
         perform t ~cat ~checked ~op:`Write
           ~cost_ns:(write_cost_ns t ~random bytes))
   end
-[@@th.raises "Io_error(checked)"]
 
 let read_modify_write t ~cat bytes =
   read t ~cat ~random:true bytes;

@@ -96,4 +96,3 @@ let run policy ~clock ~cat ~faults ~op attempt =
         end
   in
   go 0
-[@@th.raises "Io_error"]

@@ -132,7 +132,6 @@ let flush_miss_run t ~cat ~checked =
     t.last_miss_page <- t.run_start + t.miss_run - 1;
     t.miss_run <- 0
   end
-[@@th.raises "Io_error(checked)"]
 
 let access ?(checked = false) t ~cat ~write ~offset ~len =
   (* A checked read that raised left its run pending; every access
@@ -164,7 +163,6 @@ let access ?(checked = false) t ~cat ~write ~offset ~len =
     done;
     flush_miss_run t ~cat ~checked
   end
-[@@th.raises "Io_error(checked)"]
 
 let invalidate_range t ~offset ~len =
   if len > 0 then begin

@@ -57,7 +57,6 @@ let closure_of root =
   done;
   (* The root was visited first; keep it at the head of the list. *)
   List.rev !acc
-[@@th.raises "Not_serializable"]
 
 let serialize rt root =
   let objs = closure_of root in
@@ -76,7 +75,6 @@ let serialize rt root =
     objects;
     elem_sizes = List.map (fun (o : Obj_.t) -> o.Obj_.size) objs;
   }
-[@@th.raises "Not_serializable"]
 
 (* Allocate the group's objects back on the heap; shared by the normal
    deserialization path and by lineage-style recomputation (which charges

@@ -1,3 +1,3 @@
-let coerce x = (Obj.magic x [@th.allow "obj-magic"])
+let sorted xs = (List.sort compare xs [@th.allow "poly-compare"])
 
-let unwaived x = Obj.magic x
+let unsorted xs = List.sort compare xs

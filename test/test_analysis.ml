@@ -3,8 +3,8 @@
    The per-rule positive/negative snippets live only in
    Th_analysis.Selftest; tests that need one analyze it under its
    Selftest.fixture_basename. fixtures/analysis/ holds the hand-written
-   fixtures (waivers, the block-manager regression, Policy.make
-   captures) that have no embedded counterpart. *)
+   fixtures (waivers, Policy.make captures) that have no embedded
+   counterpart. *)
 
 module Finding = Th_analysis.Finding
 module Engine = Th_analysis.Engine
@@ -51,30 +51,27 @@ let test_registry_covered () =
 
 (* ------------------------------------------------------------------ *)
 (* The sink table drives every rule that looks at worker-domain        *)
-(* closures: for each entry, the domain-safety rules and cell-boundary *)
-(* fire, and the raises inference defers the closure instead of        *)
-(* charging its raise to the enclosing definition. The same snippets   *)
-(* with the callee renamed to List.iter trigger none of that.          *)
+(* closures: for each entry, both domain-safety rules fire. The same   *)
+(* snippets with the callee renamed to List.iter trigger neither.      *)
 
 let test_sink_table_drives_rules () =
   let analyze callee =
     let src =
       Printf.sprintf
-        "exception Io_error of string
-         let hits = ref 0
+        "let hits = ref 0
          let mutate () = %s (fun () -> hits := !hits + 1)
          let capture () =
         \  let acc = ref 0 in
         \  %s (fun () -> acc := !acc + 1)
-         let leak () = %s (fun () -> raise (Io_error \"disk\"))
 "
-        callee callee callee
+        callee callee
     in
     match Source.parse_string ~file:"sink_probe.ml" src with
     | Ok s -> Engine.analyze [ s ]
     | Error m -> Alcotest.failf "probe for %s does not parse: %s" callee m
   in
   let fires r rule = has_rule rule r.Engine.findings in
+  let sink_rules = [ "pmap-mutable-global"; "escape-capture" ] in
   List.iter
     (fun (m, f) ->
       let callee = Printf.sprintf "Th_exec.%s.%s" m f in
@@ -83,18 +80,13 @@ let test_sink_table_drives_rules () =
         (fun rule ->
           if not (fires r rule) then
             Alcotest.failf "%s: no %s finding" callee rule)
-        [ "pmap-mutable-global"; "escape-capture"; "cell-boundary" ];
-      if fires r "fault-barrier" then
-        Alcotest.failf "%s: the raises inference did not defer the closure"
-          callee)
+        sink_rules)
     Syntax.worker_sinks;
   let r = analyze "List.iter" in
   List.iter
     (fun rule ->
       if fires r rule then Alcotest.failf "List.iter: unexpected %s finding" rule)
-    [ "pmap-mutable-global"; "escape-capture"; "cell-boundary" ];
-  if not (fires r "fault-barrier") then
-    Alcotest.fail "List.iter: the closure's raise must reach fault-barrier"
+    sink_rules
 
 (* ------------------------------------------------------------------ *)
 (* CLI: every rule --list-rules prints is accepted by --explain        *)
@@ -238,16 +230,16 @@ let test_waiver_comment_fixture () =
 let test_waiver_attribute_fixture () =
   let r = analyze_fixture "waiver_attribute.ml" in
   Alcotest.(check int)
-    "one unwaived obj-magic finding" 1
+    "one unwaived poly-compare finding" 1
     (List.length
        (List.filter
-          (fun f -> String.equal f.Finding.rule "obj-magic")
+          (fun f -> String.equal f.Finding.rule "poly-compare")
           r.Engine.findings));
   Alcotest.(check int)
-    "one waived obj-magic finding" 1
+    "one waived poly-compare finding" 1
     (List.length
        (List.filter
-          (fun f -> String.equal f.Finding.rule "obj-magic")
+          (fun f -> String.equal f.Finding.rule "poly-compare")
           r.Engine.waived))
 
 (* qcheck: for EVERY rule's positive snippet and both attribute
@@ -451,87 +443,6 @@ let test_policy_capture_atomic_clean () =
   then Alcotest.fail "Atomic-backed policy state must not be flagged"
 
 (* ------------------------------------------------------------------ *)
-(* Exception flow: seeded regression — deleting the Io_retry guard in  *)
-(* the block-manager fixture must trip fault-barrier by name           *)
-
-let test_block_manager_regression () =
-  let guarded = analyze_fixture "block_manager_guarded.ml" in
-  if
-    has_rule "fault-barrier" guarded.Engine.findings
-    || has_rule "fault-barrier" guarded.Engine.waived
-  then Alcotest.fail "guarded block-manager fixture must be barrier-clean";
-  let unguarded = analyze_fixture "block_manager_unguarded.ml" in
-  match
-    List.filter
-      (fun f -> String.equal f.Finding.rule "fault-barrier")
-      unguarded.Engine.findings
-  with
-  | [] -> Alcotest.fail "deleting the Io_retry guard must trip fault-barrier"
-  | f :: _ ->
-      Alcotest.(check bool) "finding names Io_error" true
-        (contains_sub f.Finding.message "Io_error")
-
-(* qcheck: a [@th.raises] declaration fixes the summary callers see —
-   whatever the body raises, inference never widens it. The twin
-   definition without the annotation checks inference still sees the
-   body's raises exactly. *)
-module Callgraph = Th_analysis.Callgraph
-module Raises = Th_analysis.Raises
-
-let ctor_universe = [ "Alpha"; "Beta"; "Gamma"; "Delta" ]
-
-let prop_declared_never_widened =
-  QCheck.Test.make ~count:100
-    ~name:"[@th.raises] summaries are never widened by inference"
-    (QCheck.make QCheck.Gen.(pair (int_bound 15) (int_bound 15)))
-    (fun (dbits, bbits) ->
-      let subset bits =
-        List.filteri (fun i _ -> bits land (1 lsl i) <> 0) ctor_universe
-      in
-      let declared = subset dbits and body = subset bbits in
-      let raises_of = function
-        | [] -> "()"
-        | cs -> String.concat "; " (List.map (fun c -> "raise " ^ c) cs)
-      in
-      let src =
-        Printf.sprintf
-          "exception Alpha\n\
-           exception Beta\n\
-           exception Gamma\n\
-           exception Delta\n\
-           let f () = %s [@@th.raises %S]\n\
-           let g () = %s\n"
-          (raises_of body)
-          (String.concat " " declared)
-          (raises_of body)
-      in
-      match Source.parse_string ~file:"lib/core/raises_probe.ml" src with
-      | Error m -> QCheck.Test.fail_reportf "probe does not parse: %s" m
-      | Ok s ->
-          let db = Callgraph.build [ s ] in
-          let t = Raises.build db [ s ] in
-          let key name =
-            { Callgraph.lib = "th_core"; modname = "Raises_probe"; name }
-          in
-          Raises.summary t (key "f") = List.sort String.compare declared
-          && Raises.summary t (key "g") = List.sort String.compare body)
-
-(* The fixpoint visits defs in canonical key order, so two analyses of
-   the same sources must serialize byte-identically. *)
-let test_raises_determinism () =
-  let run () =
-    let sources =
-      List.map parse_fixture
-        [ "block_manager_guarded.ml"; "block_manager_unguarded.ml" ]
-      @ List.map parse_positive [ "fault-barrier"; "cell-boundary"; "pure-render" ]
-    in
-    let r = Engine.analyze sources in
-    Report.to_json ~waived:r.Engine.waived r.Engine.findings
-  in
-  Alcotest.(check string) "byte-identical JSON across two runs" (run ())
-    (run ())
-
-(* ------------------------------------------------------------------ *)
 (* File-system checks over the pos/neg fixture trees                   *)
 
 module Fscheck = Th_analysis.Fscheck
@@ -578,11 +489,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_domain_shared_diverts;
     Alcotest.test_case "JSON report bytes" `Quick test_json_bytes;
     Alcotest.test_case "SARIF document shape" `Quick test_sarif_shape;
-    Alcotest.test_case "seeded regression: unguarded block manager rejected"
-      `Quick test_block_manager_regression;
-    QCheck_alcotest.to_alcotest prop_declared_never_widened;
-    Alcotest.test_case "raises fixpoint is deterministic" `Quick
-      test_raises_determinism;
     Alcotest.test_case "missing-mli pos/neg fixture trees" `Quick
       test_missing_mli_fixtures;
     Alcotest.test_case "rule registry lookups" `Quick test_explain_unknown_rule;

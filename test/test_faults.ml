@@ -419,6 +419,54 @@ let test_giraph_bfs_degrades_not_crashes () =
         (Clock.total_ns a) (Clock.total_ns b)
   | _ -> Alcotest.fail "a run OOMed"
 
+(* The two lineage-recompute handlers: a checked off-heap read that
+   exhausts its retries is rebuilt from lineage (Spark-SD's serialized
+   cache in Block_manager.get, Giraph-OOC's offloaded edges in
+   Ooc.ensure_resident). Neither TeraHeap run above reaches them. At a
+   60% read-error rate some retry loops give up, and the run must
+   recompute and finish Degraded, not die with an Io_error. *)
+let recompute_plan =
+  Fault.static { Fault.zero with Fault.seed = 3L; read_error_rate = 0.6 }
+
+let check_recomputes_deterministically run =
+  let r = run () in
+  Alcotest.(check bool) "outcome Degraded" true
+    (r.Run_result.outcome = Run_result.Degraded);
+  (match r.Run_result.faults with
+  | None -> Alcotest.fail "fault counters missing"
+  | Some fs ->
+      Alcotest.(check bool) "lineage recomputes fired" true
+        (fs.Fault.recomputes > 0));
+  let r2 = run () in
+  match (r.Run_result.breakdown, r2.Run_result.breakdown) with
+  | Some a, Some b ->
+      Alcotest.(check (float 0.0)) "deterministic under same seed"
+        (Clock.total_ns a) (Clock.total_ns b)
+  | _ -> Alcotest.fail "a run OOMed"
+
+let run_spark_sd_pagerank_recompute () =
+  let p = Spark_profiles.pagerank in
+  let s =
+    Setups.spark_sd ~faults:recompute_plan
+      ~heap_gb:(48 - Spark_profiles.dr2_gb) ()
+  in
+  Spark_driver.run ~label:"sd-recompute" ?faults:s.Setups.faults s.Setups.ctx p
+
+let run_giraph_ooc_bfs_recompute () =
+  let p = Giraph_profiles.bfs in
+  let s =
+    Setups.giraph_ooc ~faults:recompute_plan
+      ~heap_gb:p.Giraph_profiles.ooc_heap_gb ()
+  in
+  Giraph_driver.run ~label:"ooc-recompute" s.Setups.rt ~mode:s.Setups.mode
+    ?ooc_device:s.Setups.ooc_device ?faults:s.Setups.g_faults p
+
+let test_spark_sd_recomputes_lost_blocks () =
+  check_recomputes_deterministically run_spark_sd_pagerank_recompute
+
+let test_giraph_ooc_rereads_lost_edges () =
+  check_recomputes_deterministically run_giraph_ooc_bfs_recompute
+
 let suite =
   [
     Alcotest.test_case "plan presets and overrides parse" `Quick
@@ -444,4 +492,8 @@ let suite =
       test_spark_pagerank_degrades_not_crashes;
     Alcotest.test_case "Giraph BFS completes degraded under faults" `Slow
       test_giraph_bfs_degrades_not_crashes;
+    Alcotest.test_case "Spark-SD recomputes unreadable cached blocks" `Slow
+      test_spark_sd_recomputes_lost_blocks;
+    Alcotest.test_case "Giraph-OOC rebuilds unreadable edge partitions" `Slow
+      test_giraph_ooc_rereads_lost_edges;
   ]

@@ -1,10 +1,5 @@
 (* Tests for the H2 region heap: allocation, labels, dependency lists,
-   liveness propagation, bulk reclamation, Union-Find mode, metadata.
-
-   Test bodies call H2.alloc bare: alcotest isolates each case, so an
-   Out_of_h2_space escaping a fixture fails that one case with a
-   backtrace — exactly what a sized-down fixture should do. *)
-[@@@th.allow "fault-barrier"]
+   liveness propagation, bulk reclamation, Union-Find mode, metadata. *)
 
 open Th_sim
 module Obj_ = Th_objmodel.Heap_object

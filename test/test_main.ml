@@ -1,8 +1,3 @@
-(* The runner's module initialisation transitively references every
-   suite; alcotest wraps each case, so tracked exceptions surface as
-   per-case failures, not an unhandled crash of the runner. *)
-[@@@th.allow "fault-barrier"]
-
 let () =
   Alcotest.run "teraheap"
     [

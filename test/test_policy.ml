@@ -436,34 +436,9 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* Golden directory, whether running from the build sandbox or the
-   source tree (same search order as Test_trace). *)
-let golden_dir () =
-  List.find_opt Sys.file_exists [ "golden"; "../../../test/golden"; "test/golden" ]
-
 let check_bench_golden ~jobs ~section ~file () =
-  let args = Printf.sprintf "--jobs %d %s" jobs section in
-  let got = run_bench ~args () in
-  if Sys.getenv_opt "TH_UPDATE_GOLDEN" <> None then (
-    match golden_dir () with
-    | Some dir ->
-        let oc = open_out_bin (Filename.concat dir file) in
-        output_string oc got;
-        close_out oc
-    | None -> Alcotest.fail "TH_UPDATE_GOLDEN: no golden directory found")
-  else
-    let dir =
-      match golden_dir () with
-      | Some d -> d
-      | None -> Alcotest.fail "no golden directory found"
-    in
-    let want = read_file (Filename.concat dir file) in
-    if not (String.equal got want) then
-      Alcotest.failf
-        "bench %s stdout diverged from golden/%s (%d bytes vs %d); if the \
-         change is intentional, regenerate with TH_UPDATE_GOLDEN=1 dune \
-         runtest"
-        args file (String.length got) (String.length want)
+  Test_trace.golden_check ~file
+    (run_bench ~args:(Printf.sprintf "--jobs %d %s" jobs section) ())
 
 let golden_full = Sys.getenv_opt "TH_GOLDEN_FULL" <> None
 

@@ -1,9 +1,4 @@
-(* Tests for the Kryo-like serializer model.
-
-   Test bodies call Serializer.serialize bare: alcotest isolates each
-   case, so a Not_serializable escaping a fixture fails that one case
-   with a backtrace — the suite needs no fault barrier of its own. *)
-[@@@th.allow "fault-barrier"]
+(* Tests for the Kryo-like serializer model. *)
 
 open Th_sim
 module Obj_ = Th_objmodel.Heap_object

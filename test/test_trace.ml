@@ -203,29 +203,29 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-(* dune runs the test binary in _build/default/test with golden/ staged
-   as a dep; on update we also write through to the source tree so the
-   regenerated file survives the build directory. *)
-let update_golden ~file text =
-  let wrote = ref false in
-  List.iter
-    (fun dir ->
-      if Sys.file_exists dir && Sys.is_directory dir then begin
-        write_file (Filename.concat dir file) text;
-        wrote := true
-      end)
-    [ "golden"; "../../../test/golden"; "test/golden" ];
-  if not !wrote then Alcotest.failf "no golden directory found to update %s" file
+(* The golden directories that exist from the current directory. `dune
+   runtest` runs the suite in _build/default/test, where golden/ is the
+   staged copy and ../../../test/golden the source tree; `dune exec`
+   runs it from the project root, where test/golden is the source tree.
+   Every golden file is read from the first directory found and, under
+   TH_UPDATE_GOLDEN, written to all of them, so the source tree keeps
+   the regenerated file and the staged copy agrees with it. *)
+let golden_dirs () =
+  List.filter
+    (fun d -> Sys.file_exists d && Sys.is_directory d)
+    [ "golden"; "../../../test/golden"; "test/golden" ]
 
 let golden_check ~file text =
-  match Sys.getenv_opt "TH_UPDATE_GOLDEN" with
-  | Some _ -> update_golden ~file text
-  | None ->
-      let path = Filename.concat "golden" file in
-      if not (Sys.file_exists path) then
-        Alcotest.failf "missing %s (regenerate: TH_UPDATE_GOLDEN=1 dune runtest)"
-          path
+  match golden_dirs () with
+  | [] -> Alcotest.failf "no golden directory found for %s" file
+  | dir :: _ as dirs ->
+      if Sys.getenv_opt "TH_UPDATE_GOLDEN" <> None then
+        List.iter (fun d -> write_file (Filename.concat d file) text) dirs
       else begin
+        let path = Filename.concat dir file in
+        if not (Sys.file_exists path) then
+          Alcotest.failf
+            "missing %s (regenerate: TH_UPDATE_GOLDEN=1 dune runtest)" path;
         let expected = read_file path in
         if not (String.equal expected text) then begin
           let el = String.split_on_char '\n' expected in
@@ -234,7 +234,7 @@ let golden_check ~file text =
             | e :: es, a :: as_ ->
                 if String.equal e a then first_diff (i + 1) (es, as_)
                 else (i, e, a)
-            | e :: _, [] -> (i, e, "<end of trace>")
+            | e :: _, [] -> (i, e, "<end of output>")
             | [], a :: _ -> (i, "<end of golden>", a)
             | [], [] -> (i, "", "")
           in
