@@ -50,8 +50,7 @@ let plan () =
              List.map
                (fun (p : Giraph_profiles.t) ->
                  ( giraph_cost p,
-                   fun () -> (p, samples_for p ~region_size:(Size.kib mb_scaled))
-                 ))
+                   fun () -> samples_for p ~region_size:(Size.kib mb_scaled) ))
                Giraph_profiles.all ))
          [ 256; 4096 ])
   in
@@ -62,8 +61,8 @@ let plan () =
           Printf.printf "\n-- region size %s (paper: %d MB) --\n"
             (Size.to_string region_size)
             (mb_scaled * 64 / 1024);
-          List.iter
-            (fun ((p : Giraph_profiles.t), samples) ->
+          List.iter2
+            (fun (p : Giraph_profiles.t) samples ->
               let live_obj = List.map (fun s -> s.H2.live_object_pct) samples in
               let live_space =
                 List.map (fun s -> s.H2.live_space_pct) samples
@@ -75,5 +74,5 @@ let plan () =
               print_cdf
                 (Printf.sprintf "%s live space/region" p.Giraph_profiles.name)
                 live_space)
-            per_profile)
+            Giraph_profiles.all per_profile)
         (Plan.get groups))

@@ -6,8 +6,8 @@
    Every section declares a plan: independent experiment cells plus a
    pure render that consumes results in submission order. The harness
    concatenates the cells of all requested sections into ONE global
-   batch for the domain scheduler (`--jobs N` / `-j N` selects
-   the domain count, defaulting to the machine's recommended count),
+   batch for the process scheduler (`--jobs N` / `-j N` selects the
+   number of worker processes, defaulting to the machine's core count),
    then runs the renders serially in request order — so stdout is
    byte-identical for every jobs value. Timing goes to stderr, and a
    machine-readable summary of this run is written to BENCH_harness.json
@@ -149,73 +149,52 @@ let () =
   | Some s -> Runners.giraph_seed := Some (Int64.of_int s)
   | None -> ());
   (* Sections that time host code with bechamel run after the shared
-     batch, serially on this domain, with no worker domain alive:
-     bechamel compacts the heap before each test until its live-word
-     count repeats, which never happens while another domain allocates. *)
+     batch, on one worker with no other worker running: a concurrent
+     worker contends for the CPU and skews bechamel's ns/op estimates. *)
   let solo (name, _, _) = name = "micro" in
-  let sched = Scheduler.create ~jobs () in
   let wall0 = Wall.now_s () in
-  let log, cells =
-    Fun.protect
-      ~finally:(fun () -> Scheduler.shutdown sched)
-      (fun () ->
-        (* Build every requested plan first, then submit the cells of
-           all shared sections as one global batch: the scheduler sees
-           the whole cell population at once instead of 2–4 cells per
-           section. *)
-        let plans = List.map (fun (n, d, mk) -> (n, d, mk ())) selected in
-        let indexed = List.mapi (fun i p -> (i, p)) plans in
-        let shared, solos =
-          List.partition (fun (_, p) -> not (solo p)) indexed
-        in
-        (* Per-section summed cell wall seconds, in request order, from
-           whichever batch ran the section. *)
-        let cell_walls = Array.make (List.length plans) 0.0 in
-        let run_batch sched sections =
-          ignore
-            (Scheduler.run_cells sched
-               (List.concat_map (fun (_, (_, _, s)) -> Plan.cells s) sections));
-          let st = Scheduler.last_batch sched in
-          ignore
-            (List.fold_left
-               (fun offset (i, (_, _, s)) ->
-                 let count = List.length (Plan.cells s) in
-                 cell_walls.(i) <-
-                   sum_slice st.Scheduler.cell_wall_s ~offset ~count;
-                 offset + count)
-               0 sections);
-          st
-        in
-        let stats = run_batch sched shared in
-        Scheduler.shutdown sched;
-        let solo_stats =
-          Scheduler.with_scheduler ~jobs:1 (fun serial ->
-              run_batch serial solos)
-        in
-        let cells = stats.Scheduler.cells + solo_stats.Scheduler.cells in
-        (* Renders run serially in request order; each reads only its
-           own section's futures. *)
-        let timed =
-          List.mapi
-            (fun i ((n, d, s) as p) ->
-              Printf.printf "\n##### %s — %s #####\n%!" n d;
-              let r0 = Wall.now_s () in
-              Plan.render s;
-              {
-                Bench_log.name = n;
-                jobs = (if solo p then 1 else jobs);
-                cells = List.length (Plan.cells s);
-                cell_wall_s = cell_walls.(i);
-                render_wall_s = Wall.elapsed_s ~since:r0;
-              })
-            plans
-        in
-        ( {
-            Bench_log.jobs;
-            sections = timed;
-            total_wall_s = Wall.elapsed_s ~since:wall0;
-          },
-          cells ))
+  (* Build every requested plan first, then run the cells of all shared
+     sections as one global batch: the scheduler sees the whole cell
+     population at once instead of 2–4 cells per section. *)
+  let plans = List.map (fun (n, d, mk) -> (n, d, mk ())) selected in
+  let indexed = List.mapi (fun i p -> (i, p)) plans in
+  let shared, solos = List.partition (fun (_, p) -> not (solo p)) indexed in
+  (* Per-section summed cell wall seconds, in request order, from
+     whichever batch ran the section. *)
+  let cell_walls = Array.make (List.length plans) 0.0 in
+  let run_batch ~jobs sections =
+    let st = Plan.run ~jobs (List.map (fun (_, (_, _, s)) -> s) sections) in
+    ignore
+      (List.fold_left
+         (fun offset (i, (_, _, s)) ->
+           let count = Plan.size s in
+           cell_walls.(i) <-
+             sum_slice st.Scheduler.cell_wall_s ~offset ~count;
+           offset + count)
+         0 sections);
+    st.Scheduler.cells
+  in
+  let shared_cells = run_batch ~jobs shared in
+  let cells = shared_cells + run_batch ~jobs:1 solos in
+  (* Renders run serially in request order; each reads only its own
+     section's futures. *)
+  let timed =
+    List.mapi
+      (fun i ((n, d, s) as p) ->
+        Printf.printf "\n##### %s — %s #####\n%!" n d;
+        let r0 = Wall.now_s () in
+        Plan.render s;
+        {
+          Bench_log.name = n;
+          jobs = (if solo p then 1 else jobs);
+          cells = Plan.size s;
+          cell_wall_s = cell_walls.(i);
+          render_wall_s = Wall.elapsed_s ~since:r0;
+        })
+      plans
+  in
+  let log =
+    { Bench_log.jobs; sections = timed; total_wall_s = Wall.elapsed_s ~since:wall0 }
   in
   let json_path =
     match Sys.getenv_opt "TH_BENCH_JSON" with

@@ -89,8 +89,8 @@ let run_with ~scale w policy =
   | Giraph p -> run_giraph ~scale ~policy G_th p
 
 (* One tournament cell: construct the policy (and its pre-pass) inside
-   the thunk — policies own unsynchronised mutable state, so each cell
-   gets a fresh one on its own worker domain. *)
+   the thunk — policies own mutable state, and one worker process runs
+   several cells in the same heap, so each cell needs a fresh one. *)
 let run_cell ~scale w entrant =
   match entrant with
   | Threshold -> run_with ~scale w Policy.threshold

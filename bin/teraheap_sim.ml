@@ -1,7 +1,7 @@
 (* Command-line front end: run one or more workloads (comma-separated)
    under one system configuration and print each execution-time breakdown
-   and GC/H2 statistics. Multiple workloads run on a domain pool
-   (`--jobs`); results print serially in argument order. *)
+   and GC/H2 statistics. Multiple workloads run on forked worker
+   processes (`--jobs`); results print serially in argument order. *)
 
 open Th_sim
 module Setups = Th_baselines.Setups
@@ -199,14 +199,14 @@ let workload =
     & info [] ~docv:"WORKLOAD"
         ~doc:"Spark: PR CC SSSP SVD TR LR LgR SVM BC RL KM; Giraph: PR CDLP \
               WCC BFS SSSP; Streaming: smoke soak. Comma-separate several \
-              to run them on the domain pool (see $(b,--jobs)).")
+              to run them on worker processes (see $(b,--jobs)).")
 
 let jobs =
   Arg.(
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"worker domains for multi-workload runs; 0 means the \
-              machine's recommended domain count")
+        ~doc:"worker processes for multi-workload runs; 0 means the \
+              machine's core count")
 
 let system =
   Arg.(
@@ -356,52 +356,42 @@ let cost_hint fw name dram =
   | `Streaming -> Th_exec.Cell.default_cost
 
 (* Split the WORKLOAD argument on commas, run every cell on the
-   domain scheduler, then print the results serially in argument
-   order. *)
+   process scheduler, then print the results serially in argument
+   order. A cell returns plain data: its result, the sanitizer's
+   violation count and report, and its trace recorder (the runtime the
+   sanitizer watches stays in the worker). *)
 let run_all fw workloads sys thr dram faults jobs verify trace trace_format
     slo soak =
-  let names = String.split_on_char ',' workloads in
-  let recorders =
-    match trace with
-    | None -> []
-    | Some _ ->
-        List.mapi (fun lane _ -> Th_trace.Recorder.create ~lane ()) names
-  in
-  let tracer_of lane =
-    match recorders with [] -> None | rs -> Some (List.nth rs lane)
-  in
   let cell lane name =
-    Th_exec.Cell.make ~label:name ~cost:(cost_hint fw name dram) ~lane
-      (fun () ->
-        let tracer = tracer_of lane in
-        match fw with
-        | `Spark -> run_spark ?tracer name sys thr dram faults verify
-        | `Giraph -> run_giraph ?tracer name sys thr faults verify
-        | `Streaming -> run_streaming ?tracer name thr faults verify slo soak)
-  in
-  let cells = List.mapi cell names in
-  let results =
-    match cells with
-    | [ c ] -> [ c.Th_exec.Cell.run () ]
-    | _ ->
-        let jobs =
-          if jobs > 0 then jobs else Th_exec.Scheduler.default_jobs ()
+    Th_exec.Cell.make ~label:name ~cost:(cost_hint fw name dram) (fun () ->
+        let tracer =
+          Option.map (fun _ -> Th_trace.Recorder.create ~lane ()) trace
         in
-        Th_exec.Scheduler.with_scheduler ~jobs (fun sched ->
-            Th_exec.Scheduler.run_cells sched cells)
+        let r, v =
+          match fw with
+          | `Spark -> run_spark ?tracer name sys thr dram faults verify
+          | `Giraph -> run_giraph ?tracer name sys thr faults verify
+          | `Streaming -> run_streaming ?tracer name thr faults verify slo soak
+        in
+        let violations = Verify.violation_count v in
+        (r, violations, (if violations > 0 then Verify.report v else ""), tracer))
   in
-  List.iter (fun (r, _) -> print_result r) results;
+  let jobs = if jobs > 0 then jobs else Th_exec.Scheduler.default_jobs () in
+  let results, _ =
+    Th_exec.Scheduler.run_cells ~jobs
+      (List.mapi cell (String.split_on_char ',' workloads))
+  in
+  List.iter (fun (r, _, _, _) -> print_result r) results;
   (match trace with
   | None -> ()
-  | Some path -> write_trace ~path ~format:trace_format recorders);
-  let total_violations =
-    List.fold_left (fun acc (_, v) -> acc + Verify.violation_count v) 0 results
-  in
-  if total_violations > 0 then begin
+  | Some path ->
+      write_trace ~path ~format:trace_format
+        (List.filter_map (fun (_, _, _, t) -> t) results));
+  if List.exists (fun (_, violations, _, _) -> violations > 0) results then begin
     List.iter
-      (fun ((r : Run_result.t), v) ->
-        if Verify.violation_count v > 0 then
-          Printf.eprintf "%s: %s" r.Run_result.label (Verify.report v))
+      (fun ((r : Run_result.t), violations, report, _) ->
+        if violations > 0 then
+          Printf.eprintf "%s: %s" r.Run_result.label report)
       results;
     exit 1
   end

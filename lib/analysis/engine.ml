@@ -6,16 +6,6 @@ type result = { findings : Finding.t list; waived : Finding.t list }
 let parse_error_rule = "parse-error"
 
 (* ------------------------------------------------------------------ *)
-(* Per-file analysis context                                           *)
-
-(* Classification of a local binding for the escape analysis: what does
-   capturing it hand to a worker domain? *)
-type local_class =
-  | Mut  (** ref / array / Hashtbl / record with mutable fields *)
-  | Safe  (** Atomic.t, Mutex, Condition — shareable by construction *)
-  | Unknown
-
-(* ------------------------------------------------------------------ *)
 (* Waivers                                                             *)
 
 (* One waiver: the tokens it allows and the source extent it covers,
@@ -91,22 +81,15 @@ let waiver_spans (s : Source.t) str =
 type ctx = {
   file : string;
   modname : string;
-  lib : string;
   enabled : string -> bool;
   module_defs : SS.t;  (** top-level value names — they shadow stdlib *)
   waivers : span list;
-  scope : local_class Syntax.scope;
-      (** escape-analysis classification of the locals in scope *)
-  db : Callgraph.t;
+  scope : Syntax.scope;  (** the local bindings in scope *)
   mutable findings : Finding.t list;
   mutable waived : Finding.t list;
 }
 
-let local_class ctx n =
-  Option.value ~default:Unknown (Syntax.innermost ctx.scope n)
-
-(* Does a waiver naming [tok] (a rule name, or a bless token like
-   [domain_shared]) cover the start of [loc]? *)
+(* Does a waiver naming rule [tok] cover the start of [loc]? *)
 let waived_at ctx (loc : Location.t) tok =
   let p = point loc.loc_start in
   List.exists
@@ -114,10 +97,7 @@ let waived_at ctx (loc : Location.t) tok =
       not_after s.first p && not (not_after s.last p) && List.mem tok s.tokens)
     ctx.waivers
 
-(* [blessed] diverts the finding even when no waiver names its rule: an
-   escape capture under a [domain_shared] token, or a global blessed at
-   its definition. *)
-let emit ?(blessed = false) ctx ~(loc : Location.t) ~rule message =
+let emit ctx ~(loc : Location.t) ~rule message =
   if ctx.enabled rule then begin
     let severity =
       match Rule.find rule with
@@ -134,7 +114,7 @@ let emit ?(blessed = false) ctx ~(loc : Location.t) ~rule message =
         message;
       }
     in
-    if blessed || waived_at ctx loc rule then ctx.waived <- f :: ctx.waived
+    if waived_at ctx loc rule then ctx.waived <- f :: ctx.waived
     else ctx.findings <- f :: ctx.findings
   end
 
@@ -169,8 +149,8 @@ let check_ident ctx lid (loc : Location.t) =
   if List.exists (String.equal "Random") path && not (String.equal ctx.modname "Prng")
   then
     emit ctx ~loc ~rule:"ambient-entropy"
-      "stdlib Random draws from global, cross-domain shared state; use a \
-       seeded Th_sim.Prng stream";
+      "stdlib Random draws from process-global state that every earlier \
+       cell on the same worker advanced; use a seeded Th_sim.Prng stream";
   match Syntax.last2 path with
   | Some ("Hashtbl", fn) when SS.mem fn hashtbl_order_fns ->
       emit ctx ~loc ~rule:"hashtbl-order"
@@ -184,7 +164,7 @@ let check_ident ctx lid (loc : Location.t) =
          canonical key instead"
   | Some ("Domain", "self") ->
       emit ctx ~loc ~rule:"ambient-entropy"
-        "Domain.self is an allocation-order-dependent token; key per-domain \
+        "Domain.self is an allocation-order-dependent token; key per-cell \
          state by submission index instead"
   | Some ((m, fn) as q) when List.mem q wall_clock_idents ->
       if not (String.equal ctx.modname "Wall") then
@@ -266,116 +246,36 @@ let check_catch_all ctx cases =
       cases
 
 (* ------------------------------------------------------------------ *)
-(* Rules at domain-crossing sinks: mutable globals reachable from the  *)
-(* closure (pmap-mutable-global) and captured mutable locals           *)
-(* (escape-capture)                                                    *)
-
-let check_pmap_site ctx callee args =
-  let seen = Hashtbl.create 8 in
-  let seen_escape = Hashtbl.create 8 in
-  let report (loc : Location.t) key ~via ~blessed =
-    if not (Hashtbl.mem seen (key, loc.loc_start.pos_lnum)) then begin
-      Hashtbl.replace seen (key, loc.loc_start.pos_lnum) ();
-      let via_s =
-        match via with
-        | None -> ""
-        | Some k -> Printf.sprintf " (via %s.%s)" k.Callgraph.modname k.name
-      in
-      emit ~blessed ctx ~loc ~rule:"pmap-mutable-global"
-        (Printf.sprintf
-           "mutable global %s (defined at %s) is reachable from a closure \
-            passed to %s%s; cells run on worker domains, so confine mutable \
-            state to the cell or the serial render path"
-           (Callgraph.key_to_string key)
-           (Callgraph.global_site ctx.db key)
-           callee via_s)
-    end
-  in
-  let blessed_of key =
-    match Callgraph.global_info ctx.db key with
-    | Some (_, b) -> b
-    | None -> false
-  in
-  List.iter
-    (fun (_, arg) ->
-      Syntax.iter_unshadowed_idents arg ~f:(fun lid loc ->
-          (* The iterator's own table covers bindings inside [arg]; the
-             ctx tables cover locals of the enclosing scope. An
-             enclosing local is never top-level state, but if it is
-             classified mutable, capturing it ships unsynchronised
-             state to a worker domain: the escape-capture rule. *)
-          match lid with
-          | Longident.Lident n when Syntax.bound ctx.scope n -> (
-              match local_class ctx n with
-              | Mut when not (Hashtbl.mem seen_escape n) ->
-                  Hashtbl.replace seen_escape n ();
-                  emit ctx ~loc ~rule:"escape-capture"
-                    ~blessed:(waived_at ctx loc Syntax.escape_bless_token)
-                    (Printf.sprintf
-                       "local mutable value %S is captured by a closure \
-                        passed to %s and escapes to a worker domain; make it \
-                        domain-local (allocate inside the closure), switch \
-                        to Atomic.t, or bless the capture with [@th.allow \
-                        \"domain_shared <why it is safe>\"]"
-                       n callee)
-              | Mut | Safe | Unknown -> ())
-          | _ ->
-              List.iter
-                (fun key ->
-                  match Callgraph.global_info ctx.db key with
-                  | Some (_, blessed) -> report loc key ~via:None ~blessed
-                  | None ->
-                      List.iter
-                        (fun g ->
-                          report loc g ~via:(Some key) ~blessed:(blessed_of g))
-                        (Callgraph.def_effects ctx.db key))
-                (Callgraph.resolve ctx.db ~cur_lib:ctx.lib ~cur_mod:ctx.modname
-                   lid)))
-    args
-
-(* ------------------------------------------------------------------ *)
 (* Main per-file pass                                                  *)
-
-let classify_rhs ctx e =
-  if Callgraph.is_domain_safe_init e then Safe
-  else if Callgraph.is_mutable_init ctx.db ~lib:ctx.lib ~modname:ctx.modname e
-  then Mut
-  else Unknown
 
 let run_structure ctx str =
   let pre e =
     match e.pexp_desc with
     | Pexp_ident { txt; _ } -> check_ident ctx txt e.pexp_loc
-    | Pexp_apply (fn, args) -> (
-        (match fn.pexp_desc with
-        | Pexp_ident { txt = Longident.Lident (("=" | "<>" | "==" | "!=") as op); _ }
-          -> (
-            match args with
-            | [ (_, a); (_, b) ] ->
-                if is_floaty a || is_floaty b then
-                  emit ctx ~loc:e.pexp_loc ~rule:"float-equality"
-                    (Printf.sprintf
-                       "(%s) on floating-point operands; compare with an \
-                        epsilon or Float.compare's total order"
-                       op)
-                else if is_composite_literal a || is_composite_literal b then
-                  emit ctx ~loc:e.pexp_loc ~rule:"poly-compare"
-                    (Printf.sprintf
-                       "structural (%s) against a composite literal; use a \
-                        typed equality"
-                       op)
-            | _ -> ())
-        | _ -> ());
-        match Syntax.worker_sink fn with
-        | Some callee -> check_pmap_site ctx callee args
-        | None -> ())
+    | Pexp_apply
+        ( {
+            pexp_desc =
+              Pexp_ident
+                { txt = Longident.Lident (("=" | "<>" | "==" | "!=") as op); _ };
+            _;
+          },
+          [ (_, a); (_, b) ] ) ->
+        if is_floaty a || is_floaty b then
+          emit ctx ~loc:e.pexp_loc ~rule:"float-equality"
+            (Printf.sprintf
+               "(%s) on floating-point operands; compare with an epsilon or \
+                Float.compare's total order"
+               op)
+        else if is_composite_literal a || is_composite_literal b then
+          emit ctx ~loc:e.pexp_loc ~rule:"poly-compare"
+            (Printf.sprintf
+               "structural (%s) against a composite literal; use a typed \
+                equality"
+               op)
     | Pexp_function cases | Pexp_match (_, cases) -> check_catch_all ctx cases
     | _ -> ()
   in
-  let it =
-    Syntax.scoped_iterator ctx.scope ~classify:(classify_rhs ctx) ~other:Unknown
-      ~pre
-  in
+  let it = Syntax.scoped_iterator ctx.scope ~pre in
   it.structure it str
 
 let analyze ?rules sources =
@@ -383,7 +283,6 @@ let analyze ?rules sources =
     String.equal r parse_error_rule
     || match rules with None -> true | Some l -> List.mem r l
   in
-  let db = Callgraph.build sources in
   let findings = ref [] and waived = ref [] in
   List.iter
     (fun (s : Source.t) ->
@@ -412,12 +311,10 @@ let analyze ?rules sources =
             {
               file = s.file;
               modname = s.modname;
-              lib = s.library;
               enabled;
               module_defs;
               waivers = waiver_spans s str;
               scope = Syntax.scope ();
-              db;
               findings = [];
               waived = [];
             }

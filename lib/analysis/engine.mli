@@ -1,12 +1,5 @@
-(** The rule engine: one pass of syntactic rules per file, a
-    cross-library effect analysis (mutable globals and escaping
-    captures at domain-crossing sinks) — and the one place where
-    waivers are applied.
-
-    The escape-capture rule has a dedicated bless token: [@th.allow
-    "domain_shared <justification>"] diverts the finding to [waived].
-    The justification is mandatory — a bare ["domain_shared"] payload
-    waives nothing.
+(** The rule engine: one pass of syntactic rules per file — and the one
+    place where waivers are applied.
 
     Waivers, from narrowest to widest scope:
     - [[@th.allow "rule"]] on an expression covers that subtree;
@@ -34,10 +27,8 @@ val parse_error_rule : string
     parser rejects. Not waivable and not disabled by [?rules]. *)
 
 val analyze : ?rules:string list -> Source.t list -> result
-(** Run the engine over already-parsed units. [?rules] restricts checks
-    to the given rule names (default: all). The whole list is analyzed
-    together: cross-module effect propagation for the
-    [pmap-mutable-global] rule only sees modules in the list. *)
+(** Run the engine over already-parsed units, each on its own.
+    [?rules] restricts checks to the given rule names (default: all). *)
 
 val analyze_files : ?rules:string list -> string list -> result
 (** Parse then {!analyze}. A file that fails to parse contributes a

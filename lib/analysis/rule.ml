@@ -1,6 +1,5 @@
 type family =
   | Determinism
-  | Domain_safety
   | Hygiene
 
 type t = {
@@ -13,18 +12,7 @@ type t = {
 
 let family_to_string = function
   | Determinism -> "determinism"
-  | Domain_safety -> "domain-safety"
   | Hygiene -> "invariant-hygiene"
-
-(* [Syntax.worker_sinks] as an indented, wrapped block for the explain
-   texts, so the prose can never name a different set than the rules
-   check. *)
-let worker_sinks_block =
-  Format.asprintf "@[<hov 2>  %a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       (fun ppf (m, f) -> Format.fprintf ppf "%s.%s" m f))
-    Syntax.worker_sinks
 
 let all =
   [
@@ -67,10 +55,12 @@ let all =
       explain =
         "All stochastic choices must draw from an explicitly seeded \n\
          Th_sim.Prng stream so equal seeds give equal runs. Stdlib Random \n\
-         (seeded or not — its state is global and shared across domains) \n\
-         and Domain.self (an allocation-order-dependent token) smuggle \n\
-         ambient nondeterminism into results. Thread a Th_sim.Prng.t, or \n\
-         key per-domain state by submission index instead of domain id.";
+         keeps one process-global state, seeded or not: a bench worker \n\
+         process runs several cells in turn, so a draw inside a cell \n\
+         depends on every cell that worker ran before — on --jobs and on \n\
+         the schedule. Domain.self (an allocation-order-dependent token) \n\
+         smuggles the same ambient nondeterminism into results. Thread a \n\
+         Th_sim.Prng.t, and key per-cell state by submission index.";
     };
     {
       name = "poly-compare";
@@ -94,59 +84,9 @@ let all =
         "Float equality is a correctness trap: NaN compares unequal to \n\
          itself and accumulated rounding makes equality contingent on \n\
          evaluation order — exactly what changes when work is re-batched \n\
-         across domains. Compare against an epsilon, use Float.compare's \n\
+         or re-ordered. Compare against an epsilon, use Float.compare's \n\
          total order, or restructure to integer nanoseconds/bytes as the \n\
          simulator clock does.";
-    };
-    {
-      name = "pmap-mutable-global";
-      family = Domain_safety;
-      severity = Finding.Error;
-      synopsis =
-        "mutable top-level state reachable from a closure run on a worker \
-         domain";
-      explain =
-        "Benchmark cells submitted to the domain scheduler execute \n\
-         on worker domains, and the select/observe callbacks of a \n\
-         placement policy run on whichever worker domain owns the runtime \n\
-         that installs the policy. The rule inspects every closure passed \n\
-         to one of these worker-domain sinks:\n\n"
-        ^ worker_sinks_block
-        ^ "\n\n\
-         Any top-level ref, Hashtbl, Vec, Buffer or array such a \n\
-         closure touches — directly or through a called function, which \n\
-         this rule resolves over the intra-library call graph — is shared \n\
-         across domains without synchronisation: a data race, and even \n\
-         when benign the interleaving is nondeterministic. Confine mutable \n\
-         state to the cell (create it inside the closure) and mutate \n\
-         shared structures only on the serial render path after the batch \n\
-         returns.";
-    };
-    {
-      name = "escape-capture";
-      family = Domain_safety;
-      severity = Finding.Error;
-      synopsis =
-        "local mutable value captured by a closure handed to a worker domain";
-      explain =
-        "Closures passed to these sinks execute on worker domains \n\
-         (placement-policy callbacks run on the domain that owns the \n\
-         runtime — build each policy inside its cell):\n\n"
-        ^ worker_sinks_block
-        ^ "\n\n\
-         A captured local ref, array, Hashtbl, Buffer or record with \n\
-         mutable fields becomes cross-domain shared state with no \n\
-         synchronisation — the OCaml memory model makes the racing \n\
-         accesses themselves well-defined, but the values observed are \n\
-         not, and torn protocols (index published before payload) \n\
-         follow. Allocate the state inside the closure so it is \n\
-         domain-local, switch to Atomic.t (which the rule recognises and \n\
-         never flags), or — when the sharing is by design, \n\
-         e.g. a single-writer result slot read only after the batch joins, \n\
-         or disjoint array indices per cell — bless the capture with \n\
-         [@th.allow \"domain_shared <why it is safe>\"]. The justification \n\
-         is mandatory: a bare \"domain_shared\" token waives nothing, and \n\
-         a blessed finding is diverted to the waived list, never dropped.";
     };
     {
       name = "catch-all-match";

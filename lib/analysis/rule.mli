@@ -8,7 +8,6 @@
 
 type family =
   | Determinism
-  | Domain_safety
   | Hygiene
 
 type t = {

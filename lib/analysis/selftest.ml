@@ -46,39 +46,6 @@ let cases =
          let close a b = abs_float (a -. b) < 1e-9\n";
     };
     {
-      rule = "pmap-mutable-global";
-      positive =
-        "let total = ref 0\n\n\
-         let bump n = total := !total + n\n\n\
-         let cells xs =\n\
-        \  List.map\n\
-        \    (fun x -> Th_exec.Cell.make (fun () -> bump x; total := !total + x; x))\n\
-        \    xs\n";
-      negative =
-        "let run sched xs =\n\
-        \  let results =\n\
-        \    Th_exec.Scheduler.run_cells sched\n\
-        \      (List.map\n\
-        \         (fun x ->\n\
-        \           Th_exec.Cell.make (fun () -> let acc = ref 0 in acc := x; !acc))\n\
-        \         xs)\n\
-        \  in\n\
-        \  let total = ref 0 in\n\
-        \  List.iter (fun r -> total := !total + r) results;\n\
-        \  !total\n";
-    };
-    {
-      rule = "escape-capture";
-      positive =
-        "let cells xs =\n\
-        \  let acc = ref 0 in\n\
-        \  List.map (fun x -> Th_exec.Cell.make (fun () -> acc := !acc + x; x)) xs\n";
-      negative =
-        "let cells xs =\n\
-        \  let hits = Atomic.make 0 in\n\
-        \  List.map (fun x -> Th_exec.Cell.make (fun () -> Atomic.incr hits; x)) xs\n";
-    };
-    {
       rule = "catch-all-match";
       positive =
         "type state = Clean | Dirty | Young_gen | Old_gen\n\n\

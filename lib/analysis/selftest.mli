@@ -23,6 +23,5 @@ val fixture_basename : polarity:[ `Pos | `Neg ] -> string -> string
     ["hashtbl_order_pos.ml"]. *)
 
 val run : unit -> (int, string list) result
-(** Run every case, a comment-waiver probe and the bounded-interleaving
-    checks. [Ok n] is the number of checks passed; [Error msgs] lists
-    every failed expectation. *)
+(** Run every case and a comment-waiver probe. [Ok n] is the number of
+    checks passed; [Error msgs] lists every failed expectation. *)

@@ -5,30 +5,12 @@ type ast =
 type t = {
   file : string;
   modname : string;
-  library : string;
   ast : ast;
   comments : (string * Location.t) list;
 }
 
 let modname_of_file file =
   String.capitalize_ascii Filename.(remove_extension (basename file))
-
-(* Library tag from the path, mirroring the dune layout: lib/<d>/x.ml
-   belongs to library th_<d> (whose wrapper module is Th_<d>); bin/ and
-   bench/ hold unwrapped executables; anything else (tests, fixtures,
-   snippets fed to [parse_string]) gets the anonymous library "". *)
-let library_of_file file =
-  let segs =
-    String.split_on_char '/' file |> List.filter (fun s -> s <> "" && s <> ".")
-  in
-  let rec find = function
-    | "lib" :: d :: _ :: _ -> "th_" ^ d
-    | "bin" :: _ :: _ -> "bin"
-    | "bench" :: _ :: _ -> "bench"
-    | _ :: rest -> find rest
-    | [] -> ""
-  in
-  find segs
 
 let parse_string ~file source =
   let lexbuf = Lexing.from_string source in
@@ -46,7 +28,6 @@ let parse_string ~file source =
         {
           file;
           modname = modname_of_file file;
-          library = library_of_file file;
           ast;
           comments = Lexer.comments ();
         }
@@ -72,13 +53,6 @@ let parse_file file =
    waiver can share it. *)
 let waiver_marker = "th-lint:"
 
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char ',')
-  |> List.filter (fun w -> w <> "")
-
 let find_sub hay needle =
   let hl = String.length hay and nl = String.length needle in
   let rec go i =
@@ -99,7 +73,7 @@ let line_waivers t =
               (i + String.length waiver_marker)
               (String.length text - i - String.length waiver_marker)
           in
-          match split_words rest with
+          match Syntax.split_words rest with
           | "allow" :: rules when rules <> [] ->
               Some (loc.loc_end.pos_lnum, rules)
           | _ -> None))

@@ -9,10 +9,6 @@ type ast =
 type t = {
   file : string;  (** path as given; used verbatim in findings *)
   modname : string;  (** capitalized basename, e.g. ["Ps_gc"] *)
-  library : string;
-      (** dune library tag from the path: [lib/metrics/x.ml] is
-          ["th_metrics"] (wrapper module [Th_metrics]), [bin/]/[bench/]
-          files are ["bin"]/["bench"], everything else [""] *)
   ast : ast;
   comments : (string * Location.t) list;
       (** every comment with its location, in source order *)

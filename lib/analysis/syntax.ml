@@ -1,6 +1,6 @@
-(* Shared AST helpers for the analysis passes: longident flattening,
-   waiver-attribute parsing, pattern utilities, and the one scope-aware
-   walk. Every pass (Engine, Callgraph) speaks this dialect. *)
+(* Shared AST helpers for the analysis pass: longident flattening,
+   waiver-token parsing, pattern utilities, and the one scope-aware
+   walk. *)
 
 open Parsetree
 module SS = Set.Make (String)
@@ -16,36 +16,6 @@ let flatten_lid lid =
    wrapping. *)
 let last2 path =
   match List.rev path with n :: m :: _ -> Some (m, n) | _ -> None
-
-(* The one table of callees whose closure arguments run on a worker
-   domain. Placement-policy callbacks count: they run on whichever
-   worker domain owns the runtime that installs the policy, so a
-   capture at construction time is a cross-domain escape. *)
-let worker_sinks =
-  [
-    ("Scheduler", "run_cells");
-    ("Plan", "cell");
-    ("Plan", "cell_list");
-    ("Plan", "costed_list");
-    ("Plan", "grouped");
-    ("Plan", "grouped_costed");
-    ("Cell", "make");
-    ("Policy", "make");
-    ("Domain", "spawn");
-  ]
-
-let worker_sink (fn : expression) =
-  match fn.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      let path = flatten_lid txt in
-      match last2 path with
-      | Some (m, f)
-        when List.exists
-               (fun (m', f') -> String.equal m m' && String.equal f f')
-               worker_sinks ->
-          Some (String.concat "." path)
-      | _ -> None)
-  | _ -> None
 
 let split_words s =
   String.split_on_char ' ' s
@@ -68,22 +38,12 @@ let string_payload (payload : payload) =
       Some s
   | _ -> None
 
-(* The [domain_shared] token blesses an escape-capture site, but only
-   when the waiver string carries a justification beyond the bare
-   token — an unexplained blessing is no blessing at all. *)
-let escape_bless_token = "domain_shared"
-
 let attr_allows (attrs : attributes) =
   List.concat_map
     (fun a ->
       if String.equal a.attr_name.txt "th.allow" then
         match string_payload a.attr_payload with
-        | Some s -> (
-            match split_words s with
-            | [ tok ] when String.equal tok escape_bless_token ->
-                (* Bare domain_shared with no justification: reject. *)
-                []
-            | words -> words)
+        | Some s -> split_words s
         | None -> []
       else [])
     attrs
@@ -140,54 +100,39 @@ let rec is_catch_all p =
 (* ------------------------------------------------------------------ *)
 (* Scopes                                                              *)
 
-(* The binding table: per name, the payloads of the local bindings in
-   scope, innermost first. A name is shadowed while its stack is
-   non-empty. *)
-type 'a scope = (string, 'a list) Hashtbl.t
+(* The binding table: per name, how many local bindings of it are in
+   scope. A name is shadowed while its count is positive. *)
+type scope = (string, int) Hashtbl.t
 
-let scope () : 'a scope = Hashtbl.create 16
+let scope () : scope = Hashtbl.create 16
 
-let stack sc n = Option.value ~default:[] (Hashtbl.find_opt sc n)
+let depth sc n = Option.value ~default:0 (Hashtbl.find_opt sc n)
 
-let bound sc n = stack sc n <> []
+let bound sc n = depth sc n > 0
 
-let innermost sc n = match stack sc n with v :: _ -> Some v | [] -> None
-
-let push sc n v = Hashtbl.replace sc n (v :: stack sc n)
-
-let pop sc n =
-  match stack sc n with _ :: rest -> Hashtbl.replace sc n rest | [] -> ()
-
-let with_bindings sc binds k =
-  List.iter (fun (n, v) -> push sc n v) binds;
+let with_bindings sc names k =
+  List.iter (fun n -> Hashtbl.replace sc n (depth sc n + 1)) names;
   let r = k () in
-  List.iter (fun (n, _) -> pop sc n) binds;
+  List.iter (fun n -> Hashtbl.replace sc n (depth sc n - 1)) names;
   r
 
 (* The one scope-aware walk. [pre] sees every expression before its
-   children, with [sc] holding the local bindings in scope there. A
-   [let x = rhs] binds [x] to [classify rhs]; every other binder
-   (destructuring lets, [fun], [function]/[match]/[try] cases, [for])
-   binds its pattern variables to [other]. *)
-let scoped_iterator sc ~classify ~other ~pre =
+   children, with [sc] holding the local bindings in scope there: the
+   pattern variables of [let], [fun], [function]/[match]/[try] cases and
+   [for]. *)
+let scoped_iterator sc ~pre =
   let open Ast_iterator in
-  let vars p = List.map (fun n -> (n, other)) (pat_vars p) in
-  let bind vb =
-    match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt; _ } -> [ (txt, classify vb.pvb_expr) ]
-    | _ -> vars vb.pvb_pat
-  in
   let expr it e =
     pre e;
     let sub e = it.expr it e in
     let case c =
-      with_bindings sc (vars c.pc_lhs) (fun () ->
+      with_bindings sc (pat_vars c.pc_lhs) (fun () ->
           Option.iter sub c.pc_guard;
           sub c.pc_rhs)
     in
     match e.pexp_desc with
     | Pexp_let (rf, vbs, body) -> (
-        let binds = List.concat_map bind vbs in
+        let binds = List.concat_map (fun vb -> pat_vars vb.pvb_pat) vbs in
         let rhs () = List.iter (fun vb -> sub vb.pvb_expr) vbs in
         match rf with
         | Recursive ->
@@ -199,7 +144,7 @@ let scoped_iterator sc ~classify ~other ~pre =
             with_bindings sc binds (fun () -> sub body))
     | Pexp_fun (_, dflt, pat, body) ->
         Option.iter sub dflt;
-        with_bindings sc (vars pat) (fun () -> sub body)
+        with_bindings sc (pat_vars pat) (fun () -> sub body)
     | Pexp_function cases -> List.iter case cases
     | Pexp_match (s, cases) | Pexp_try (s, cases) ->
         sub s;
@@ -207,18 +152,7 @@ let scoped_iterator sc ~classify ~other ~pre =
     | Pexp_for (pat, a, b, _, body) ->
         sub a;
         sub b;
-        with_bindings sc (vars pat) (fun () -> sub body)
+        with_bindings sc (pat_vars pat) (fun () -> sub body)
     | _ -> default_iterator.expr it e
   in
   { default_iterator with expr }
-
-let iter_unshadowed_idents ~f root =
-  let sc = scope () in
-  let pre e =
-    match e.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident n; _ } when bound sc n -> ()
-    | Pexp_ident { txt; _ } -> f txt e.pexp_loc
-    | _ -> ()
-  in
-  let it = scoped_iterator sc ~classify:ignore ~other:() ~pre in
-  it.expr it root

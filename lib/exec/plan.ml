@@ -4,20 +4,25 @@
    the list/grouped helpers) registers one independent experiment cell
    and returns a future for its result. [seal] closes the builder into
    a section — the registered cells plus a pure render function that
-   only reads futures. The harness then submits the cells of *all*
-   requested sections to the Scheduler as one global batch and runs the
-   renders serially in submission order, so stdout/CSV stay
-   byte-identical at any jobs count. *)
+   only reads futures. The harness then runs the cells of *all*
+   requested sections as one global batch and the renders serially in
+   submission order, so stdout/CSV stay byte-identical at any jobs
+   count. *)
 
 type 'a future = unit -> 'a
 
 let get f = f ()
 
-type t = { mutable rev_cells : unit Cell.t list; mutable count : int }
+(* A registered cell: its thunk, which marshals the result inside the
+   worker so that cells of every result type share one batch, and the
+   parent-side decoder that fills the cell's typed slot. *)
+type entry = { cell : string Cell.t; fill : string -> unit }
 
-type section = { cells : unit Cell.t list; render : unit -> unit }
+type t = { mutable rev_entries : entry list; mutable count : int }
 
-let create () = { rev_cells = []; count = 0 }
+type section = { entries : entry list; render : unit -> unit }
+
+let create () = { rev_entries = []; count = 0 }
 
 let cell b ?label ?cost f =
   let label =
@@ -25,18 +30,13 @@ let cell b ?label ?cost f =
     | Some l -> l
     | None -> Printf.sprintf "cell-%d" b.count
   in
-  (* The slot is written by whichever worker domain runs the cell and
-     read by the coordinator after the batch; Atomic publication makes
-     the hand-off explicit rather than leaning on the scheduler's
-     end-of-batch mutex. *)
-  let slot = Atomic.make None in
-  let c =
-    Cell.make ~label ?cost ~lane:b.count (fun () -> Atomic.set slot (Some (f ())))
-  in
-  b.rev_cells <- c :: b.rev_cells;
+  let slot = ref None in
+  let cell = Cell.make ~label ?cost (fun () -> Marshal.to_string (f ()) []) in
+  let fill bytes = slot := Some (Marshal.from_string bytes 0) in
+  b.rev_entries <- { cell; fill } :: b.rev_entries;
   b.count <- b.count + 1;
   fun () ->
-    match Atomic.get slot with
+    match !slot with
     | Some v -> v
     | None ->
         failwith
@@ -51,28 +51,22 @@ let costed_list b ?label fs =
   let futures = List.map (fun (cost, f) -> cell b ?label ~cost f) fs in
   fun () -> List.map get futures
 
-let grouped b ?label ?cost groups =
-  let futures =
-    List.map (fun (key, fs) -> (key, cell_list b ?label ?cost fs)) groups
-  in
-  fun () -> List.map (fun (key, fut) -> (key, get fut)) futures
-
 let grouped_costed b ?label groups =
   let futures =
     List.map (fun (key, fs) -> (key, costed_list b ?label fs)) groups
   in
   fun () -> List.map (fun (key, fut) -> (key, get fut)) futures
 
-let cell_count b = b.count
+let seal b ~render = { entries = List.rev b.rev_entries; render }
 
-let seal b ~render = { cells = List.rev b.rev_cells; render }
+let size s = List.length s.entries
 
-let cells s = s.cells
+let run ~jobs sections =
+  let entries = List.concat_map (fun s -> s.entries) sections in
+  let results, stats =
+    Scheduler.run_cells ~jobs (List.map (fun e -> e.cell) entries)
+  in
+  List.iter2 (fun e bytes -> e.fill bytes) entries results;
+  stats
 
 let render s = s.render ()
-
-(* Convenience runner for one section outside the harness (tests,
-   direct callers): submit its cells as one batch, then render. *)
-let run_section sched s =
-  ignore (Scheduler.run_cells sched (cells s) : unit list);
-  render s

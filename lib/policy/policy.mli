@@ -77,9 +77,9 @@ val make :
   observe:(obs -> unit) ->
   unit ->
   t
-(** Assemble a custom policy. Callbacks run on whichever domain owns the
-    runtime; captured mutable state is flagged by the analyzer unless
-    blessed. *)
+(** Assemble a custom policy. Callbacks run inside the runtime that
+    installs the policy, so state they capture belongs to that run:
+    build the policy inside the cell that owns the run. *)
 
 val threshold : t
 (** The paper's high/low-threshold behavior, bit-for-bit identical to

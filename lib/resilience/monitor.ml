@@ -42,14 +42,10 @@ type summary = {
   slo : Slo.report option;
 }
 
-(* Concurrency audit: every mutable field below is domain-confined. A
-   monitor is attached inside the cell that owns the run (see
-   bench/soak.ml), sampled and read on that same domain, and dropped
-   before the cell returns its (immutable) summary — it is never
-   captured by another cell's closure, which the escape-capture rule
-   would flag. Plain mutable fields are therefore correct; converting
-   them to Atomic.t would buy nothing and imply sharing that must not
-   happen. *)
+(* Every mutable field below belongs to one run: a monitor is attached
+   inside the cell that owns the run (see bench/soak.ml), sampled and
+   read there, and dropped before the cell returns its (immutable)
+   summary. *)
 type t = {
   config : config;
   slo_spec : Slo.spec option;

@@ -1,7 +1,8 @@
-(* Tests of the cell scheduler and of the harness determinism
+(* Tests of the process scheduler and of the harness determinism
    contract: scheduled execution returns results in submission order,
    so rendering (and therefore CSV/report output) is byte-identical to
-   a serial run. *)
+   a serial run; and a failing cell, a dead worker or a result that
+   cannot be marshalled fails the batch by the cell's label. *)
 
 module Scheduler = Th_exec.Scheduler
 module Cell = Th_exec.Cell
@@ -13,44 +14,97 @@ module Giraph_profiles = Th_workloads.Giraph_profiles
 module Giraph_driver = Th_workloads.Giraph_driver
 module Run_result = Th_workloads.Run_result
 
-let run_all t thunks = Scheduler.run_cells t (List.map Cell.make thunks)
+let run_all ~jobs thunks =
+  fst (Scheduler.run_cells ~jobs (List.map (fun f -> Cell.make f) thunks))
+
+let contains_sub hay needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* The [Failure] message a failing batch raises, or the test fails. *)
+let batch_failure ~jobs cells =
+  match Scheduler.run_cells ~jobs cells with
+  | _ -> Alcotest.fail "the batch did not fail"
+  | exception Failure msg -> msg
+
+(* Every worker of a finished batch, failed or not, has been reaped. *)
+let check_no_child_left () =
+  Alcotest.(check bool)
+    "no worker process left" true
+    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false)
 
 let test_results_in_submission_order () =
-  Scheduler.with_scheduler ~jobs:4 (fun t ->
-      let thunks =
-        List.init 32 (fun i () ->
-            (* Stagger so later submissions tend to finish first. *)
-            if i mod 4 = 0 then Unix.sleepf 0.002;
-            i * i)
-      in
-      let results = run_all t thunks in
-      Alcotest.(check (list int))
-        "squares in order"
-        (List.init 32 (fun i -> i * i))
-        results)
+  let thunks =
+    List.init 32 (fun i () ->
+        (* Stagger so later submissions tend to finish first. *)
+        if i mod 4 = 0 then Unix.sleepf 0.002;
+        i * i)
+  in
+  Alcotest.(check (list int))
+    "squares in order"
+    (List.init 32 (fun i -> i * i))
+    (run_all ~jobs:4 thunks)
 
 let test_exception_propagates () =
-  Scheduler.with_scheduler ~jobs:4 (fun t ->
-      Alcotest.check_raises "cell exception re-raised" (Failure "boom")
-        (fun () ->
-          ignore
-            (run_all t
-               [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) ]));
-      (* The scheduler survives a failing batch. *)
-      Alcotest.(check (list int))
-        "scheduler reusable after failure" [ 7 ]
-        (run_all t [ (fun () -> 7) ]))
+  let msg =
+    batch_failure ~jobs:4
+      [
+        Cell.make ~label:"one" (fun () -> 1);
+        Cell.make ~label:"boom-cell" (fun () -> failwith "boom");
+        Cell.make ~label:"three" (fun () -> 3);
+      ]
+  in
+  Alcotest.(check bool) "names the failing cell" true
+    (contains_sub msg "\"boom-cell\"");
+  Alcotest.(check bool) "carries the exception text" true
+    (contains_sub msg "boom");
+  (* A failed batch leaves nothing behind: the next one runs. *)
+  Alcotest.(check (list int))
+    "next batch runs after a failure" [ 7 ]
+    (run_all ~jobs:4 [ (fun () -> 7) ])
+
+let test_dead_worker_fails_batch () =
+  let msg =
+    batch_failure ~jobs:2
+      [
+        Cell.make ~label:"fine" (fun () -> 1);
+        Cell.make ~label:"exits" (fun () -> Unix._exit 3);
+        Cell.make ~label:"after" (fun () -> 2);
+      ]
+  in
+  Alcotest.(check bool) "names the cell whose worker died" true
+    (contains_sub msg "\"exits\"");
+  Alcotest.(check bool) "reports the exit code" true
+    (contains_sub msg "code 3");
+  check_no_child_left ()
+
+let test_closure_result_fails_batch () =
+  let msg =
+    batch_failure ~jobs:2
+      [
+        Cell.make ~label:"plain" (fun () -> None);
+        Cell.make ~label:"closure" (fun () ->
+            let pid = Unix.getpid () in
+            Some (fun x -> x + pid));
+      ]
+  in
+  Alcotest.(check bool) "names the cell" true
+    (contains_sub msg "\"closure\"");
+  Alcotest.(check bool) "says why" true (contains_sub msg "marshal");
+  check_no_child_left ()
 
 let test_serial_scheduler () =
-  Scheduler.with_scheduler ~jobs:1 (fun t ->
-      Alcotest.(check (list int))
-        "jobs=1 runs in the calling domain" [ 1; 2; 3 ]
-        (run_all t [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]))
+  Alcotest.(check (list int))
+    "jobs=1 runs every cell on one worker" [ 1; 2; 3 ]
+    (run_all ~jobs:1 [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ])
 
 let test_invalid_jobs () =
   Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Scheduler.create: jobs must be >= 1") (fun () ->
-      ignore (Scheduler.create ~jobs:0 ()))
+    (Invalid_argument "Scheduler.run_cells: jobs must be >= 1") (fun () ->
+      ignore (Scheduler.run_cells ~jobs:0 ([] : int Cell.t list)))
 
 let test_wall_clock_monotonic () =
   let t0 = Wall.now_s () in
@@ -60,7 +114,7 @@ let test_wall_clock_monotonic () =
 
 (* The determinism contract end to end: the same Giraph cell, with a
    fixed seed, produces byte-identical CSV whether computed serially or
-   on a 4-domain scheduler. *)
+   on 4 worker processes. *)
 let giraph_cell seed () =
   let p = Giraph_profiles.bfs in
   let s =
@@ -81,65 +135,64 @@ let test_scheduled_csv_identical () =
   let seed = 42L in
   let cells = [ giraph_cell seed; giraph_cell seed; giraph_cell seed ] in
   let serial = csv_of_results (List.map (fun f -> f ()) cells) in
-  let scheduled =
-    Scheduler.with_scheduler ~jobs:4 (fun t -> csv_of_results (run_all t cells))
-  in
+  let scheduled = csv_of_results (run_all ~jobs:4 cells) in
   Alcotest.(check string) "serial and scheduled CSV bytes" serial scheduled
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler: concurrent claims and the longest-first claim order.     *)
 
-(* Each of the two cells waits for the other to start, so the batch can
-   only finish if the two domains claim them at the same time. A serial
-   dispatch would leave the first cell waiting on a cell that never
-   starts: the bounded wait then fails the test instead of hanging. *)
+(* Each of the two cells signals its own pipe, then waits for the
+   other's byte, so the batch can only finish if two workers run them
+   at the same time. A serial dispatch would leave the first cell
+   waiting on a cell that never starts: the bounded wait then fails the
+   test instead of hanging. The pipes exist before the batch, so both
+   workers inherit them. *)
 let test_concurrent_claim () =
-  Scheduler.with_scheduler ~jobs:2 (fun t ->
-      let cell ~label mine peer =
-        Cell.make ~label (fun () ->
-            Atomic.set mine true;
-            let deadline = Wall.now_s () +. 5.0 in
-            while (not (Atomic.get peer)) && Wall.now_s () < deadline do
-              Domain.cpu_relax ()
-            done;
-            Atomic.get peer)
-      in
-      let a = Atomic.make false and b = Atomic.make false in
-      let saw_peer =
-        Scheduler.run_cells t [ cell ~label:"a" a b; cell ~label:"b" b a ]
-      in
-      Alcotest.(check (list bool))
-        "each cell saw the other start" [ true; true ] saw_peer;
-      let stats = Scheduler.last_batch t in
-      Alcotest.(check int) "cells counted" 2 stats.Scheduler.cells;
-      Alcotest.(check bool)
-        "wall times recorded and positive" true
-        (Array.length stats.Scheduler.cell_wall_s = 2
-        && Array.for_all (fun w -> w > 0.0) stats.Scheduler.cell_wall_s))
+  let a_r, a_w = Unix.pipe () and b_r, b_w = Unix.pipe () in
+  let cell ~label ~mine ~peer =
+    Cell.make ~label (fun () ->
+        ignore (Unix.write_substring mine "x" 0 1 : int);
+        match Unix.select [ peer ] [] [] 5.0 with
+        | [], _, _ -> false
+        | _ -> true)
+  in
+  let saw_peer, stats =
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ a_r; a_w; b_r; b_w ])
+      (fun () ->
+        Scheduler.run_cells ~jobs:2
+          [
+            cell ~label:"a" ~mine:a_w ~peer:b_r;
+            cell ~label:"b" ~mine:b_w ~peer:a_r;
+          ])
+  in
+  Alcotest.(check (list bool))
+    "each cell saw the other start" [ true; true ] saw_peer;
+  Alcotest.(check int) "cells counted" 2 stats.Scheduler.cells;
+  Alcotest.(check bool)
+    "wall times recorded and positive" true
+    (Array.length stats.Scheduler.cell_wall_s = 2
+    && Array.for_all (fun w -> w > 0.0) stats.Scheduler.cell_wall_s)
 
-(* With one domain the claim order is the execution order: descending
-   cost, ties in submission order. *)
+(* With one worker the claim order is the execution order: descending
+   cost, ties in submission order. Each cell returns the monotonic time
+   it started, which orders them across processes. *)
 let test_claim_order () =
-  Scheduler.with_scheduler ~jobs:1 (fun t ->
-      let ran = ref [] in
-      let costs = [ 1.0; 5.0; 2.0; 5.0; 1.0; 9.0 ] in
-      let cells =
-        List.mapi
-          (fun i cost ->
-            Cell.make ~label:(string_of_int i) ~cost ~lane:i (fun () ->
-                (ran := i :: !ran)
-                [@th.allow
-                  "domain_shared jobs = 1 spawns no worker: every cell runs \
-                   on this domain"];
-                i))
-          costs
-      in
-      let results = Scheduler.run_cells t cells in
-      Alcotest.(check (list int))
-        "results in submission order" [ 0; 1; 2; 3; 4; 5 ] results;
-      Alcotest.(check (list int))
-        "cells ran longest-first, stable on submission index"
-        [ 5; 1; 3; 2; 0; 4 ] (List.rev !ran))
+  let costs = [ 1.0; 5.0; 2.0; 5.0; 1.0; 9.0 ] in
+  let cells =
+    List.mapi
+      (fun i cost ->
+        Cell.make ~label:(string_of_int i) ~cost (fun () -> (i, Wall.now_ns ())))
+      costs
+  in
+  let results, _ = Scheduler.run_cells ~jobs:1 cells in
+  Alcotest.(check (list int))
+    "results in submission order" [ 0; 1; 2; 3; 4; 5 ] (List.map fst results);
+  Alcotest.(check (list int))
+    "cells ran longest-first, stable on submission index"
+    [ 5; 1; 3; 2; 0; 4 ]
+    (List.map fst
+       (List.sort (fun (_, a) (_, b) -> Int64.compare a b) results))
 
 (* ------------------------------------------------------------------ *)
 (* Plan: futures, grouped regrouping, read-before-run.                 *)
@@ -149,14 +202,13 @@ let test_plan_futures () =
   let x = Plan.cell b ~label:"x" ~cost:2.0 (fun () -> 21 * 2) in
   let ys = Plan.cell_list b ~label:"ys" [ (fun () -> "a"); (fun () -> "b") ] in
   let g =
-    Plan.grouped b ~label:"g"
+    Plan.grouped_costed b ~label:"g"
       [
-        ("k0", List.init 3 (fun i () -> i));
+        ("k0", List.init 3 (fun i -> (1.0, fun () -> i)));
         ("k1", []);
-        ("k2", List.init 2 (fun i () -> 10 + i));
+        ("k2", List.init 2 (fun i -> (1.0, fun () -> 10 + i)));
       ]
   in
-  Alcotest.(check int) "cell count" 8 (Plan.cell_count b);
   let rendered = Buffer.create 64 in
   let section =
     Plan.seal b ~render:(fun () ->
@@ -169,7 +221,9 @@ let test_plan_futures () =
                  (String.concat "+" (List.map string_of_int vs))))
           (Plan.get g))
   in
-  Scheduler.with_scheduler ~jobs:4 (fun t -> Plan.run_section t section);
+  let stats = Plan.run ~jobs:4 [ section ] in
+  Alcotest.(check int) "cell count" 8 stats.Scheduler.cells;
+  Plan.render section;
   Alcotest.(check string)
     "futures resolve in submission order, groups regroup exactly"
     "42abk0=0+1+2k1=k2=10+11" (Buffer.contents rendered)
@@ -209,8 +263,7 @@ let prop_scheduler_deterministic =
           (fun i dc ->
             (* Negative and zero hints exercise the default-cost path. *)
             let cost = float_of_int dc /. 10.0 in
-            Cell.make ~label:(string_of_int i) ~cost ~lane:i (fun () ->
-                (i * 31) + dc))
+            Cell.make ~label:(string_of_int i) ~cost (fun () -> (i * 31) + dc))
           deci_costs
       in
       let render results =
@@ -219,10 +272,7 @@ let prop_scheduler_deterministic =
       let serial =
         render (List.mapi (fun i dc -> (i * 31) + dc) deci_costs)
       in
-      let scheduled =
-        Scheduler.with_scheduler ~jobs (fun t ->
-            render (Scheduler.run_cells t cells))
-      in
+      let scheduled = render (fst (Scheduler.run_cells ~jobs cells)) in
       String.equal serial scheduled)
 
 let suite =
@@ -230,6 +280,10 @@ let suite =
     Alcotest.test_case "results in submission order" `Quick
       test_results_in_submission_order;
     Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
+    Alcotest.test_case "dead worker fails the batch" `Quick
+      test_dead_worker_fails_batch;
+    Alcotest.test_case "closure result fails the batch" `Quick
+      test_closure_result_fails_batch;
     Alcotest.test_case "jobs=1 serial path" `Quick test_serial_scheduler;
     Alcotest.test_case "jobs=0 rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "wall clock is monotonic" `Quick

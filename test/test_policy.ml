@@ -253,8 +253,6 @@ let test_observation_stream () =
               Some { Policy.root = r; cls = Policy.Advised; group = r.Obj_.label }
             else None)
           roots)
-      (* th-lint: allow domain_shared — the recording runtime is built
-         with mk_rt and driven serially on this test's single domain *)
       ~observe:(fun ev -> events := ev :: !events)
       ()
   in
